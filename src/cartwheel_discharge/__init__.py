@@ -5,7 +5,6 @@ reducibility search against a configuration database, and the proof
 script runtime tying them together.
 """
 
-from ._kernels import KERNEL
 from .axles import (Axle, NULL_CONDITION, axle_wedge_condition,
                     condition_compatible, is_fan_free, negate_condition,
                     pos_add, reflect_axle, rotate_axle, symmetry_permutation,
@@ -29,7 +28,7 @@ from .rules import (Outlet, axle_from_outlet, axle_wedge_outlet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL", "Axle", "NULL_CONDITION", "axle_wedge_condition",
+    "Axle", "NULL_CONDITION", "axle_wedge_condition",
     "condition_compatible", "is_fan_free", "negate_condition", "pos_add",
     "reflect_axle", "rotate_axle", "symmetry_permutation", "trivial_axle",
     "validate_axle", "Configuration", "GoodConfiguration",

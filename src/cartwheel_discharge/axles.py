@@ -11,12 +11,18 @@ An axle is a pair of such vectors (lo, hi), stored as bytes of length
 5d+1.  Lower bounds live in {5..9}, upper bounds in {5,6,7,8,12}; 12
 stands for "unbounded".  A condition (n, m) tightens position n: m > 0
 raises lo(n) to m, m < 0 lowers hi(n) to -m.
+
+Because of those value sets, degrees 9, 10, 11 and up always move
+together, and every interval is a run of the five buckets
+{5, 6, 7, 8, >=9}.  The packed form of an axle is one int with a byte
+lane per position n = 1..5d at bit 8(n-1): bits 0..4 hold the lane's
+buckets and bit 5 is a carry guard that stays clear (see _kernels).
+Byte lanes pack and unpack with one bytes.translate each.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -30,11 +36,69 @@ NULL_CONDITION = (0, 0)
 CONDITION_VALUES = (-8, -7, -6, -5, 6, 7, 8, 9)
 
 
-@dataclass(frozen=True)
+# Bucket bits of a bound: a lower bound l covers its bucket and every
+# one above, an upper bound u its bucket and every one below; a lane is
+# floor[lo] & ceil[hi].  Values outside LO_VALUES / HI_VALUES map to 0.
+_FLOOR = bytes(0x1F & -(1 << (v - 5)) if v in LO_VALUES else 0
+               for v in range(256))
+_CEIL = bytes((1 << (min(v, 9) - 4)) - 1 if v in HI_VALUES else 0
+              for v in range(256))
+# a lane's bounds: its lowest bucket, and its highest with >=9 read as 12
+_LANE_LO = bytes(4 + (v & -v).bit_length() if 0 < v < 32 else 0
+                 for v in range(256))
+_LANE_HI = bytes(HI_VALUES[v.bit_length() - 1] if 0 < v < 32 else 0
+                 for v in range(256))
+
+
+def bucket_mask(lo: int, hi: int) -> int:
+    """The bucket bits of the interval [lo, hi]; 0 when it is empty or
+    a bound lies outside LO_VALUES / HI_VALUES."""
+    return _FLOOR[lo] & _CEIL[hi]
+
+
 class Axle:
-    d: int
-    lo: bytes
-    hi: bytes
+    """An axle of degree d, held as bounds (lo, hi), as its packed form,
+    or both.  An axle built from bounds packs on first use of
+    `packed`; one built by `from_packed` decodes `lo` and `hi` on first
+    read.  Each form is computed at most once."""
+
+    __slots__ = ("d", "lo", "hi", "packed")
+
+    def __init__(self, d: int, lo: bytes, hi: bytes):
+        self.d = d
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def from_packed(cls, d: int, packed: int) -> "Axle":
+        a = cls.__new__(cls)
+        a.d = d
+        a.packed = packed
+        return a
+
+    def __getattr__(self, name):
+        # reached only for a slot that is not filled yet
+        if name == "packed":
+            self.packed = _pack(self.d, self.lo, self.hi)
+            return self.packed
+        if name in ("lo", "hi"):
+            lanes = self.packed.to_bytes(5 * self.d, "little")
+            hub = bytes((self.d,))
+            self.lo = hub + lanes.translate(_LANE_LO)
+            self.hi = hub + lanes.translate(_LANE_HI)
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.lo, self.hi) == (other.d, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.d, self.lo, self.hi))
+
+    def __reduce__(self):
+        return Axle, (self.d, self.lo, self.hi)
 
     def bounds(self, n: int):
         return self.lo[n], self.hi[n]
@@ -50,6 +114,17 @@ class Axle:
             if (self.lo[n], self.hi[n]) != (5, 12)
         ]
         return f"Axle(d={self.d}, {' '.join(pins) or 'trivial'})"
+
+
+def _pack(d, lo, hi) -> int:
+    n = 5 * d
+    packed = (int.from_bytes(lo[1:].translate(_FLOOR), "little")
+              & int.from_bytes(hi[1:].translate(_CEIL), "little"))
+    if (len(lo) != n + 1 or len(hi) != n + 1
+            or 0 in packed.to_bytes(n, "little")):
+        raise ValueError(f"axle of degree {d} has an empty interval or a "
+                         f"bound outside {LO_VALUES} / {HI_VALUES}")
+    return packed
 
 
 def band_of(n: int, d: int) -> str:

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 verified / clean, 1 verification failure or lint
-findings or golden-table mismatch, 2 malformed input, 3 internal
-invariant breach (always a bug, never a property of the inputs).
+findings or golden-table mismatch, 2 malformed input (including a file
+that cannot be read or decoded, or a trace that cannot be written), 3
+internal invariant breach or any other escaping exception (always a
+bug, never a property of the inputs).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from .configurations import (build_good_configuration, parse_configurations,
                              radius_at_most_two)
@@ -28,14 +31,21 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise InputError(str(e), path=path)
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot decode byte {e.start} as UTF-8 "
+                         f"({e.reason})", path=path)
 
 
 def _emit_trace(trace, name):
     target = os.environ.get("CARTWHEEL_TRACE_DIR", "").strip()
     if target:
         path = os.path.join(target, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(trace) + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(trace) + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write the trace: {e.strerror or e}",
+                             path=path)
         print(f"trace written to {path}")
     else:
         for line in trace:
@@ -64,10 +74,8 @@ def cmd_verify(args) -> int:
             f"presentation is for degree {degree}, requested {args.degree}",
             1, args.presentation)
     trace = [] if args.trace else None
-    jobs = args.jobs if args.jobs else os.cpu_count() or 1
     try:
-        report = run_presentation(degree, lines, table, db,
-                                  trace=trace, jobs=jobs)
+        report = run_presentation(degree, lines, table, db, trace=trace)
     except VerificationFailure:
         if trace:
             _emit_trace(trace, f"trace-verify-d{degree}.txt")
@@ -180,9 +188,6 @@ def _parser():
     v.add_argument("--golden", default=None,
                    help="outlet table the derived one must match")
     v.add_argument("--trace", action="store_true")
-    v.add_argument("--trace-format", choices=["v1"], default="v1")
-    v.add_argument("--jobs", type=int, default=0,
-                   help="worker threads for hubcap triples (default: all cores)")
     v.set_defaults(func=cmd_verify)
 
     o = sub.add_parser("derive-outlets", help="print the outlet table")
@@ -216,6 +221,10 @@ def main(argv=None) -> int:
     except CartwheelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def entry():

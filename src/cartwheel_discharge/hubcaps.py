@@ -66,6 +66,14 @@ class BoundContext:
 
     def __post_init__(self):
         self.values = tuple(o.value for o, _ in self.positioned)
+        self._masks = (None, ())       # (degree, masks), compiled on use
+
+    def masks(self, d):
+        """The positioned outlets' kernel masks at degree d."""
+        if self._masks[0] != d:
+            self._masks = (d, tuple(out.masks(x, d)
+                                    for out, x in self.positioned))
+        return self._masks[1]
 
 
 def build_bound_context(table, x, y, reducer, trace=None):
@@ -83,25 +91,27 @@ def check_bound(ctx: BoundContext, p: int, s: list, v: int, a: Axle,
     s is the caller's sign vector: +1 enforced, -1 not permitted,
     0 undecided; entries before p are settled.
     """
-    n = len(ctx.positioned)
     d = a.d
-    lo, hi = a.lo, a.hi
-    # every undecided outlet, not just those from p on: a wedge for a
-    # later outlet can force an earlier negative one
-    for i in range(n):
-        if s[i] == 0:
-            out, x = ctx.positioned[i]
-            if _kernels.outlet_enforced(lo, hi, out.packed, x - 1, d):
-                s[i] = 1
-            elif not _kernels.outlet_permitted(lo, hi, out.packed, x - 1, d):
-                s[i] = -1
+    masks = ctx.masks(d)
+    values = ctx.values
+    n = len(masks)
+    packed = a.packed
+    enforced = _kernels.outlet_enforced
+    # settle every undecided outlet, not just those from p on: a wedge
+    # for a later outlet can force an earlier negative one
     f = 0
     acc = 0
     for i in range(n):
-        if s[i] == 1:
-            f += ctx.values[i]
-        elif s[i] == 0 and ctx.values[i] > 0:
-            acc += ctx.values[i]
+        t = s[i]
+        if t == 0:
+            if enforced(packed, masks[i]):
+                s[i] = t = 1
+            elif not _kernels.outlet_permitted(packed, masks[i]):
+                s[i] = t = -1
+        if t == 1:
+            f += values[i]
+        elif t == 0 and values[i] > 0:
+            acc += values[i]
     if ctx.trace is not None:
         ctx.trace.append(
             f"bound p={p} s={''.join(str(t + 1) for t in s)} f={f} a={acc} "
@@ -118,73 +128,47 @@ def check_bound(ctx: BoundContext, p: int, s: list, v: int, a: Axle,
             f"forced value {f} exceeds bound {v} and the axle is not "
             f"reducible (branch {list(trail)}, axle {a!r})")
     for q in range(p, n):
-        if s[q] != 0 or ctx.values[q] <= 0:
+        if s[q] != 0 or values[q] <= 0:
             continue
-        out, x = ctx.positioned[q]
-        wedged = _kernels.outlet_wedge(lo, hi, out.packed, x - 1, d)
+        wedged = _kernels.outlet_wedge(packed, masks[q])
         if wedged is None:
             raise InternalInvariantError(
                 "undecided outlet failed to wedge despite being permitted")
-        child = Axle(d, wedged[0], wedged[1])
         pruned = False
         for i in range(p):
-            if s[i] == -1:
-                o2, x2 = ctx.positioned[i]
-                if _kernels.outlet_enforced(child.lo, child.hi, o2.packed,
-                                            x2 - 1, d):
-                    pruned = True
-                    break
+            if s[i] == -1 and enforced(wedged, masks[i]):
+                pruned = True
+                break
         if not pruned:
             s_child = list(s)
             s_child[q] = 1
-            check_bound(ctx, q, s_child, v, child, trail + (q,))
+            check_bound(ctx, q, s_child, v, Axle.from_packed(d, wedged),
+                        trail + (q,))
         elif ctx.trace is not None:
             ctx.trace.append(f"bound prune q={q}")
         s[q] = -1
-        acc -= ctx.values[q]
+        acc -= values[q]
         if acc + f <= v:
             return
     raise InternalInvariantError("check_bound exhausted its branches "
                                  "without settling the bound")
 
 
-def check_hubcap(a: Axle, triples, table, reducer, trace=None, jobs=1):
-    """Verify every triple's bound and the closing inequality."""
+def check_hubcap(a: Axle, triples, table, reducer, trace=None):
+    """Verify every triple's bound, in order, and the closing
+    inequality.  A triple's trace lines are kept only once every
+    triple has passed."""
     d = a.d
     mult = validate_hubcap(triples, d)
     if not check_h2(triples, mult, d):
         total = sum(v * m for (_, _, v), m in zip(triples, mult))
         raise VerificationFailure(
             f"hubcap sum {total} fails 10(6-{d}) + floor(sum/2) <= 0")
-
-    def one(t):
-        x, y, v = triples[t]
-        sink = [] if trace is not None else None
-        ctx = build_bound_context(table, x, y, reducer, sink)
+    lines = [] if trace is not None else None
+    for x, y, v in triples:
+        if lines is not None:
+            lines.append(f"hubcap triple {x} {y} {v}")
+        ctx = build_bound_context(table, x, y, reducer, lines)
         check_bound(ctx, 0, [0] * len(ctx.positioned), v, a)
-        return sink
-
-    if jobs <= 1 or len(triples) == 1:
-        results = [one(t) for t in range(len(triples))]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one, t) for t in range(len(triples))]
-        # surface the first failure in triple order, not finish order
-        results = []
-        first_error = None
-        for fut in futures:
-            try:
-                results.append(fut.result())
-            except (VerificationFailure, InternalInvariantError) as e:
-                if first_error is None:
-                    first_error = e
-                results.append(None)
-        if first_error is not None:
-            raise first_error
     if trace is not None:
-        for t, sink in enumerate(results):
-            x, y, v = triples[t]
-            trace.append(f"hubcap triple {x} {y} {v}")
-            trace.extend(sink)
+        trace += lines

@@ -190,7 +190,7 @@ def _make_reducer(db):
     return run
 
 
-def run_presentation(degree, lines, table, db, trace=None, jobs=1):
+def run_presentation(degree, lines, table, db, trace=None):
     """Execute a parsed proof script against the derived outlet table
     and the good-configuration database.  Returns a RunReport; raises
     VerificationFailure (with the offending line) when a branch cannot
@@ -244,7 +244,7 @@ def run_presentation(degree, lines, table, db, trace=None, jobs=1):
             if ln.kind == "R":
                 reducible(a, db, trace)
             elif ln.kind == "H":
-                check_hubcap(a, ln.payload, table, reducer, trace, jobs)
+                check_hubcap(a, ln.payload, table, reducer, trace)
             else:
                 ok = check_symmetry_disposition(pool, *ln.payload, a)
                 if not ok:

@@ -58,11 +58,17 @@ class Outlet:
     entries: tuple  # ((position, lo, hi), ...) ascending by position
 
     @cached_property
-    def packed(self) -> bytes:
-        flat = []
-        for p, lo, hi in self.entries:
-            flat += [p, lo, hi]
-        return bytes(flat)
+    def _compiled(self) -> dict:
+        return {}
+
+    def masks(self, x: int, d: int):
+        """Kernel masks of the outlet placed at spoke x, degree d;
+        compiled at first use."""
+        got = self._compiled.get((x, d))
+        if got is None:
+            got = self._compiled[x, d] = _kernels.compile_outlet(
+                self.entries, x, d)
+        return got
 
 
 @dataclass(frozen=True)
@@ -277,21 +283,21 @@ def validate_outlet(outlet: Outlet, d):
 
 def enforced(a: Axle, outlet: Outlet, x: int) -> bool:
     """Outlet positioned at spoke x fires on every cartwheel of a."""
-    return bool(_kernels.outlet_enforced(a.lo, a.hi, outlet.packed, x - 1, a.d))
+    return _kernels.outlet_enforced(a.packed, outlet.masks(x, a.d))
 
 
 def permitted(a: Axle, outlet: Outlet, x: int) -> bool:
     """Outlet positioned at spoke x fires on at least one refinement."""
-    return bool(_kernels.outlet_permitted(a.lo, a.hi, outlet.packed, x - 1, a.d))
+    return _kernels.outlet_permitted(a.packed, outlet.masks(x, a.d))
 
 
 def axle_wedge_outlet(a: Axle, outlet: Outlet, x: int):
     """Tighten a by the outlet's entries at position x; None iff not
     permitted (the two are equivalent, and tested so)."""
-    got = _kernels.outlet_wedge(a.lo, a.hi, outlet.packed, x - 1, a.d)
+    got = _kernels.outlet_wedge(a.packed, outlet.masks(x, a.d))
     if got is None:
         return None
-    return Axle(a.d, got[0], got[1])
+    return Axle.from_packed(a.d, got)
 
 
 def outlet_from_axle(b: Axle) -> Outlet:

@@ -73,14 +73,6 @@ def test_verify_with_symmetry(files):
     assert "dispositions H=2 S=1" in out
 
 
-def test_verify_jobs_parallel_matches_serial(files):
-    serial = verify(files, "rules_pres", "rules_tiny", "configs_small",
-                    "--jobs", "1")
-    parallel = verify(files, "rules_pres", "rules_tiny", "configs_small",
-                      "--jobs", "2")
-    assert serial == parallel
-
-
 def test_verify_golden_table_match(files, tmp_path):
     code, out, _ = run_cli(["derive-outlets", "-d", "7",
                             "-r", files["rules_tiny"]])
@@ -113,6 +105,31 @@ def test_verify_reports_missing_files(files):
                             "-p", files["zero"], "-c", files["configs_empty"]])
     assert code == 2
     assert err.startswith("error: /no/such.rules:")
+
+
+@pytest.mark.parametrize("flag", ["-r", "-p", "-c"])
+def test_verify_rejects_undecodable_files(files, tmp_path, flag):
+    bad = tmp_path / "binary.txt"
+    bad.write_bytes(b"\xff\xfe")
+    argv = ["verify", "-d", "7"]
+    for f, path in (("-r", files["rules_empty"]), ("-p", files["zero"]),
+                    ("-c", files["configs_empty"])):
+        argv += [f, str(bad) if f == flag else path]
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: cannot decode byte 0 as UTF-8")
+
+
+def test_uncaught_exceptions_exit_three(files, monkeypatch):
+    from cartwheel_discharge import cli
+
+    def broken(*args, **kw):
+        raise KeyError("boom")
+    monkeypatch.setattr(cli, "run_presentation", broken)
+    code, out, err = verify(files, "zero")
+    assert code == 3
+    assert err.endswith("internal error: KeyError: 'boom'\n")
+    assert "verified" not in out
 
 
 def test_verify_rejects_degree_mismatch(files):
@@ -172,6 +189,19 @@ def test_trace_writes_to_the_env_directory(files, monkeypatch, tmp_path):
     body = path.read_text()
     assert "reduce axle=" in body
     assert "line 6 level 0 H" in body
+
+
+def test_trace_to_a_missing_directory_is_bad_input(files, monkeypatch,
+                                                   tmp_path):
+    target = tmp_path / "missing"
+    monkeypatch.setenv("CARTWHEEL_TRACE_DIR", str(target))
+    code, out, err = verify(files, "zero", "rules_empty", "configs_empty",
+                            "--trace")
+    assert code == 2
+    path = target / "trace-verify-d7.txt"
+    assert err == f"error: {path}: cannot write the trace: " \
+                  f"No such file or directory\n"
+    assert "verified" not in out
 
 
 def test_trace_survives_a_failure(files, monkeypatch, tmp_path):

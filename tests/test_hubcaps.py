@@ -215,25 +215,29 @@ def test_check_hubcap_rejects_failing_inequality():
         check_hubcap(a, triples, [], never)
 
 
-def test_check_hubcap_parallel_matches_serial():
+def test_check_hubcap_traces_triples_in_order():
     a = trivial_axle(7)
     table = [DerivedOutlet(1, "T", out(1, (1, 5, 6))),
              DerivedOutlet(2, "T'", out(-1, (2, 6, 6)))]
     triples = [(i, i, 1) for i in range(1, 8)]
-    serial = []
-    check_hubcap(a, triples, table, never, trace=serial, jobs=1)
-    parallel = []
-    check_hubcap(a, triples, table, never, trace=parallel, jobs=3)
-    assert serial == parallel
-    assert serial[0] == "hubcap triple 1 1 1"
+    trace = []
+    check_hubcap(a, triples, table, never, trace=trace)
+    heads = [t for t in trace if t.startswith("hubcap triple")]
+    assert heads == [f"hubcap triple {i} {i} 1" for i in range(1, 8)]
+    assert trace[0] == heads[0] and trace[1].startswith("bound p=0")
+    # a hubcap whose last triple fails leaves no lines behind
+    failing = triples[:-1] + [(7, 7, -2)]
+    trace = []
+    with pytest.raises(VerificationFailure, match="exceeds bound -2"):
+        check_hubcap(a, failing, table, never, trace=trace)
+    assert trace == []
 
 
-def test_check_hubcap_parallel_reports_first_failure():
+def test_check_hubcap_reports_first_failure():
     a = trivial_axle(7)
     table = [DerivedOutlet(1, "T", out(-1, (1, 5, 12)))]
     triples = ([(1, 1, -2), (2, 2, -3)]
                + [(i, i, 0) for i in range(3, 8)])
-    for jobs in (1, 4):
-        with pytest.raises(VerificationFailure, match="exceeds bound -2") as e:
-            check_hubcap(a, triples, table, never, jobs=jobs)
-        assert "bound -3" not in str(e.value)
+    with pytest.raises(VerificationFailure, match="exceeds bound -2") as e:
+        check_hubcap(a, triples, table, never)
+    assert "bound -3" not in str(e.value)

@@ -1,60 +1,74 @@
-"""Pure-Python and compiled kernels must be interchangeable."""
-
-import random
+"""The packed interval kernels against the byte-loop references in
+oracles.py, on legal axles and outlets only."""
 
 import pytest
 
 from cartwheel_discharge import _kernels
-from cartwheel_discharge._kernels import _py
-
-try:
-    from cartwheel_discharge._kernels import _speed
-except ImportError:
-    _speed = None
-
-needs_ext = pytest.mark.skipif(_speed is None,
-                               reason="compiled kernel not built")
+from cartwheel_discharge.axles import (HI_VALUES, LO_VALUES, Axle,
+                                       trivial_axle)
+from cartwheel_discharge.oracles import (_enf, _perm, _wedge, random_axle,
+                                         random_outlets)
+from cartwheel_discharge.rules import (Outlet, axle_wedge_outlet, enforced,
+                                       permitted)
 
 
-def _random_case(rng, d):
-    n = 5 * d + 1
-    lo = bytes(rng.randrange(5, 10) for _ in range(n))
-    hi = bytes(min(12, b + rng.randrange(0, 5)) for b in lo)
-    ent = []
-    for _ in range(rng.randrange(1, 6)):
-        p = rng.randrange(1, 5 * d + 1)
-        l = rng.randrange(5, 10)
-        ent += [p, l, min(12, l + rng.randrange(0, 4))]
-    return lo, hi, bytes(ent), rng.randrange(0, d)
+@pytest.mark.parametrize("d", range(5, 12))
+def test_kernels_match_the_byte_loops(d):
+    outlets = random_outlets(d, ("kernels", d), 40)
+    for k in range(60):
+        a = random_axle(d, ("kernels", d, k))
+        for out in outlets:
+            for x in range(1, d + 1):
+                assert enforced(a, out, x) == _enf(a.lo, a.hi, out, x, d)
+                assert permitted(a, out, x) == _perm(a.lo, a.hi, out, x, d)
+                got = axle_wedge_outlet(a, out, x)
+                want = _wedge(a.lo, a.hi, out, x, d)
+                if want is None:
+                    assert got is None
+                else:
+                    assert (got.lo, got.hi) == want
+                    assert got == Axle(d, *want)
 
 
-@needs_ext
-def test_kernels_agree_on_random_cases():
-    rng = random.Random(2024)
-    for _ in range(4000):
-        d = rng.randrange(5, 12)
-        lo, hi, ent, shift = _random_case(rng, d)
-        assert (_py.outlet_enforced(lo, hi, ent, shift, d)
-                == _speed.outlet_enforced(lo, hi, ent, shift, d))
-        assert (_py.outlet_permitted(lo, hi, ent, shift, d)
-                == _speed.outlet_permitted(lo, hi, ent, shift, d))
-        assert (_py.outlet_wedge(lo, hi, ent, shift, d)
-                == _speed.outlet_wedge(lo, hi, ent, shift, d))
+def test_pack_unpack_round_trips_every_legal_interval():
+    d = 7
+    for n in range(1, 5 * d + 1):
+        for lo in LO_VALUES:
+            for hi in HI_VALUES:
+                if lo > hi:
+                    continue
+                a = trivial_axle(d)
+                blo = bytearray(a.lo)
+                bhi = bytearray(a.hi)
+                blo[n] = lo
+                bhi[n] = hi
+                a = Axle(d, bytes(blo), bytes(bhi))
+                b = Axle.from_packed(d, a.packed)
+                assert (b.lo, b.hi) == (a.lo, a.hi)
+                assert b == a and hash(b) == hash(a)
+                assert b.digest() == a.digest()
 
 
-def test_selected_kernel_is_exported():
-    assert _kernels.KERNEL in ("python", "compiled")
-    for name in ("outlet_enforced", "outlet_permitted", "outlet_wedge"):
-        assert callable(getattr(_kernels, name))
+def test_packing_rejects_illegal_axles():
+    a = trivial_axle(7)
+    for lo, hi in ((10, 12), (5, 9), (7, 6)):
+        blo = bytearray(a.lo)
+        bhi = bytearray(a.hi)
+        blo[3] = lo
+        bhi[3] = hi
+        with pytest.raises(ValueError):
+            Axle(7, bytes(blo), bytes(bhi)).packed
+    with pytest.raises(ValueError):
+        Axle(7, a.lo[:-1], a.hi[:-1]).packed
 
 
-def test_wedge_returns_bytes_or_none():
-    rng = random.Random(7)
-    for _ in range(200):
-        d = rng.randrange(5, 12)
-        lo, hi, ent, shift = _random_case(rng, d)
-        got = _kernels.outlet_wedge(lo, hi, ent, shift, d)
-        if got is not None:
-            wlo, whi = got
-            assert isinstance(wlo, bytes) and isinstance(whi, bytes)
-            assert len(wlo) == len(lo) and len(whi) == len(hi)
+def test_compiling_rejects_illegal_entries():
+    with pytest.raises(ValueError):
+        _kernels.compile_outlet(((1, 6, 10),), 1, 7)
+
+
+def test_masks_compile_once_per_spoke_and_degree():
+    out = Outlet(1, ((1, 6, 6), (8, 5, 7)))
+    assert out.masks(3, 7) is out.masks(3, 7)
+    assert out.masks(3, 7) != out.masks(4, 7)
+    assert out.masks(3, 7) != out.masks(3, 8)

@@ -28,9 +28,9 @@ def parse(text):
     return parse_presentation(text)
 
 
-def run(text, table=(), db=(), trace=None, jobs=1):
+def run(text, table=(), db=(), trace=None):
     degree, lines = parse_presentation(text)
-    return run_presentation(degree, lines, list(table), list(db), trace, jobs)
+    return run_presentation(degree, lines, list(table), list(db), trace)
 
 
 @pytest.fixture(scope="module")
