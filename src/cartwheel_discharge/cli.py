@@ -10,17 +10,17 @@ bug, never a property of the inputs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import traceback
 
-from .configurations import (build_good_configuration, parse_configurations,
-                             radius_at_most_two)
+from .configurations import (build_good_configuration, load_database,
+                             parse_configurations, radius_at_most_two)
 from .errors import (CartwheelError, InputError, InternalInvariantError,
                      VerificationFailure)
 from .hubcaps import check_h2, validate_hubcap
-from .presentation import (parse_presentation, run_presentation,
-                           structural_problems)
+from .presentation import parse_presentation, run_presentation, walk_levels
 from .rules import (derive_outlets, diff_outlet_tables, format_outlet_table,
                     parse_outlet_table, parse_rules)
 
@@ -36,20 +36,46 @@ def _read(path):
                          f"({e.reason})", path=path)
 
 
-def _emit_trace(trace, name):
+def _open_trace(wanted, degree):
+    """Context giving the file `verify --trace` writes in
+    CARTWHEEL_TRACE_DIR, opened before verification so that a bad
+    directory fails first; it gives None for stdout or no trace."""
     target = os.environ.get("CARTWHEEL_TRACE_DIR", "").strip()
-    if target:
-        path = os.path.join(target, name)
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(trace) + "\n")
-        except OSError as e:
-            raise InputError(f"cannot write the trace: {e.strerror or e}",
-                             path=path)
-        print(f"trace written to {path}")
-    else:
+    if not (wanted and target):
+        return contextlib.nullcontext()
+    path = os.path.join(target, f"trace-verify-d{degree}.txt")
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise _trace_error(e, path)
+
+
+def _trace_error(e, path):
+    return InputError(f"cannot write the trace: {e.strerror or e}", path=path)
+
+
+def _emit_trace(trace, fh):
+    if fh is None:
         for line in trace:
             print(line)
+        return
+    try:
+        fh.write("".join(line + "\n" for line in trace))
+        fh.flush()
+    except OSError as e:
+        raise _trace_error(e, fh.name)
+    print(f"trace written to {fh.name}")
+
+
+def _golden_mismatch(table, path):
+    """Print how the derived outlet table differs from the golden table
+    at path; True when it does."""
+    diffs = diff_outlet_tables(table, parse_outlet_table(_read(path), path))
+    for line in diffs:
+        print(line)
+    if diffs:
+        print(f"derived outlet table disagrees with {path}")
+    return bool(diffs)
 
 
 def cmd_verify(args) -> int:
@@ -57,16 +83,9 @@ def cmd_verify(args) -> int:
         raise InputError(f"degree {args.degree} out of range 7..11")
     rules = parse_rules(_read(args.rules), args.rules)
     table = derive_outlets(rules, args.degree)
-    if args.golden:
-        golden = parse_outlet_table(_read(args.golden), args.golden)
-        diffs = diff_outlet_tables(table, golden)
-        if diffs:
-            for line in diffs:
-                print(line)
-            print(f"derived outlet table disagrees with {args.golden}")
-            return 1
-    db = [build_good_configuration(c)
-          for c in parse_configurations(_read(args.configs), args.configs)]
+    if args.golden and _golden_mismatch(table, args.golden):
+        return 1
+    db = load_database(_read(args.configs), args.configs)
     degree, lines = parse_presentation(_read(args.presentation),
                                        args.presentation)
     if degree != args.degree:
@@ -74,18 +93,20 @@ def cmd_verify(args) -> int:
             f"presentation is for degree {degree}, requested {args.degree}",
             1, args.presentation)
     trace = [] if args.trace else None
-    try:
-        report = run_presentation(degree, lines, table, db, trace=trace)
-    except VerificationFailure:
-        if trace:
-            _emit_trace(trace, f"trace-verify-d{degree}.txt")
-        raise
-    except InputError as e:
-        if e.path is None:
-            e.path = args.presentation
-        raise
-    if trace is not None:
-        _emit_trace(trace, f"trace-verify-d{degree}.txt")
+    failure = None
+    with _open_trace(args.trace, degree) as fh:
+        try:
+            report = run_presentation(degree, lines, table, db, trace=trace)
+        except VerificationFailure as e:
+            failure = e
+        except InputError as e:
+            if e.path is None:
+                e.path = args.presentation
+            raise
+        if trace is not None:
+            _emit_trace(trace, fh)
+    if failure is not None:
+        raise failure
     disp = " ".join(f"{k}={v}" for k, v in sorted(report.dispositions.items()))
     print(f"verified: degree {degree}, {report.steps} steps, "
           f"{report.branches} branches, dispositions {disp or 'none'}")
@@ -97,18 +118,13 @@ def cmd_derive_outlets(args) -> int:
         raise InputError(f"degree {args.degree} out of range 5..11")
     rules = parse_rules(_read(args.rules), args.rules)
     table = derive_outlets(rules, args.degree)
-    text = format_outlet_table(table)
     if args.golden:
-        golden = parse_outlet_table(_read(args.golden), args.golden)
-        diffs = diff_outlet_tables(table, golden)
-        if diffs:
-            for line in diffs:
-                print(line)
-            print(f"derived outlet table disagrees with {args.golden}")
+        if _golden_mismatch(table, args.golden):
             return 1
         print(f"outlet table matches {args.golden} "
               f"({len(table)} outlets at degree {args.degree})")
         return 0
+    text = format_outlet_table(table)
     if text:
         print(text, end="")
     return 0
@@ -138,8 +154,11 @@ def cmd_lint(args) -> int:
         except InputError as e:
             note(args.presentation, e.line, e.message)
         else:
-            for no, msg in structural_problems(degree, lines):
-                note(args.presentation, no, msg)
+            try:
+                for _ in walk_levels(lines):
+                    pass
+            except InputError as e:
+                note(args.presentation, e.line, e.message)
             for ln in lines:
                 if ln.kind != "H":
                     continue

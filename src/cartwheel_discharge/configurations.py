@@ -30,6 +30,31 @@ def _canon_triangle(a, b, c):
     return (c, a, b)
 
 
+def _reach(adj, start, avoid=None):
+    """Vertices reachable from start along edges that miss avoid; adj
+    maps each vertex to its neighbors."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen and y != avoid:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _cut_vertices(adj, ids):
+    """Vertices of a connected drawing of at least two vertices whose
+    removal disconnects the rest, in id order."""
+    cuts = []
+    for v in ids:
+        start = ids[1] if v == ids[0] else ids[0]
+        if len(_reach(adj, start, v)) != len(ids) - 1:
+            cuts.append(v)
+    return cuts
+
+
 class Configuration:
     def __init__(self, name, gamma, rot, cyclic):
         self.name = name
@@ -83,33 +108,27 @@ class Configuration:
                 if u not in adj or v not in adj[u]:
                     raise InputError(f"{name}: edge {v}-{u} is one-sided")
         self.adj = adj
-        seen = {self.ids[0]}
-        frontier = [self.ids[0]]
-        while frontier:
-            v = frontier.pop()
-            for u in self.rot[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        if len(seen) != len(self.ids):
+        # rot, not adj: lists iterate faster than frozensets, and
+        # skeleton_of validates at every decrement-tree node
+        if len(_reach(self.rot, self.ids[0])) != len(self.ids):
             raise InputError(f"{name}: drawing is not connected")
 
-    def validate_light(self):
-        """Adjacency and connectivity checks plus the corner map, with
-        no demand that every region be a triangle.  Restrictions of
-        valid drawings (where regions merge) go through here."""
+    def _triangulate(self):
+        """Check the graph, trace its faces, and cache `third` and
+        `triangles` from the closed triangles.  Returns the corner map
+        and the face orbits that are not closed triangles."""
         self._check_graph()
-        self.opens_at = None
-        self.outer = ()
+        self.third = {}
+        self.triangles = ()
         if len(self.ids) == 1:
-            self.third = {}
-            self.triangles = ()
-            return self
+            return {}, []
         opens, orbits = self._faces()
-        third = {}
+        third = self.third
         canon = []
+        rest = []
         for orbit in orbits:
-            if len(orbit) != 3 or any(opens[e] for e in orbit):
+            if len(orbit) != 3 or any([opens[e] for e in orbit]):
+                rest.append(orbit)
                 continue
             for t in range(3):
                 u, v = orbit[t]
@@ -117,60 +136,40 @@ class Configuration:
                 third[(u, v)] = w
             a, b = orbit[0]
             canon.append(_canon_triangle(a, b, third[(a, b)]))
-        self.third = third
         self.triangles = tuple(sorted(canon))
+        return opens, rest
+
+    def validate_light(self):
+        """Adjacency and connectivity checks plus the corner map, with
+        no demand that every region be a triangle.  Restrictions of
+        valid drawings (where regions merge) go through here."""
+        self._triangulate()
         return self
 
     def validate(self, strict_gamma=True):
         """Check the drawing and cache adjacency, triangles, and the
         outer walk.  Raises InputError on any defect."""
         name = self.name
-        self._check_graph()
-
+        opens, rest = self._triangulate()
+        self.outer = ()
         if len(self.ids) == 1:
-            v = self.ids[0]
-            self.third = {}
-            self.triangles = ()
-            self.outer = ()
-            self.opens_at = {v: 1}
             return self
-
-        opens, orbits = self._faces()
-        outer = []
-        tris = []
-        for orbit in orbits:
-            flags = [opens[e] for e in orbit]
-            if all(flags):
-                outer.append(orbit)
-            elif not any(flags) and len(orbit) == 3:
-                tris.append(orbit)
-            else:
+        for orbit in rest:
+            if not all(opens[e] for e in orbit):
                 raise InputError(
                     f"{name}: face through {orbit[0]} is neither a triangle "
                     f"nor the infinite region")
-        if len(outer) != 1:
+        if len(rest) != 1:
             raise InputError(
-                f"{name}: expected one infinite region, found {len(outer)}")
+                f"{name}: expected one infinite region, found {len(rest)}")
         edges = sum(len(lst) for lst in self.rot.values()) // 2
-        if len(self.ids) - edges + len(tris) + 1 != 2:
+        if len(self.ids) - edges + len(self.triangles) + 1 != 2:
             raise InputError(f"{name}: face count breaks the plane formula")
-        third = {}
-        canon = []
-        for orbit in tris:
-            for t in range(3):
-                u, v = orbit[t]
-                _, w = orbit[(t + 1) % 3]
-                third[(u, v)] = w
-            a, b = orbit[0]
-            canon.append(_canon_triangle(a, b, third[(a, b)]))
-        self.third = third
-        self.triangles = tuple(sorted(canon))
-        self.outer = tuple(outer[0])
+        self.outer = tuple(rest[0])
         opens_at = {v: 0 for v in self.ids}
         for (u, v), flag in opens.items():
             if flag:
                 opens_at[v] += 1
-        self.opens_at = opens_at
         if strict_gamma:
             for v in self.ids:
                 g = self.gamma[v]
@@ -417,24 +416,6 @@ def free_completion(cfg: Configuration):
     return l0, tuple(ring)
 
 
-def _two_connected(adj, ids):
-    if len(ids) <= 2:
-        return True
-    for v in ids:
-        rest = [u for u in ids if u != v]
-        seen = {rest[0]}
-        stack = [rest[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y != v and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(rest):
-            return False
-    return True
-
-
 def enhance(cfg: Configuration, l0: Configuration, ring):
     """The search drawing J: the configuration itself when 2-connected,
     else augmented by one ring vertex tying the branches together.
@@ -444,22 +425,10 @@ def enhance(cfg: Configuration, l0: Configuration, ring):
         v = ids[0]
         extra = ring[0]
         keep = {v, extra}
-    elif _two_connected(cfg.adj, ids):
-        return cfg, None
     else:
-        cuts = []
-        for v in ids:
-            rest = [u for u in ids if u != v]
-            seen = {rest[0]}
-            stack = [rest[0]]
-            while stack:
-                x = stack.pop()
-                for y in cfg.adj[x]:
-                    if y != v and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(rest):
-                cuts.append(v)
+        cuts = _cut_vertices(cfg.adj, ids)
+        if not cuts:
+            return cfg, None
         if len(cuts) != 1:
             raise InputError(
                 f"{cfg.name}: {len(cuts)} cut vertices, expected exactly one")
@@ -467,15 +436,7 @@ def enhance(cfg: Configuration, l0: Configuration, ring):
         comps = []
         left = set(ids) - {v}
         while left:
-            x = min(left)
-            comp = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for z in cfg.adj[y]:
-                    if z != v and z not in comp:
-                        comp.add(z)
-                        stack.append(z)
+            comp = _reach(cfg.adj, min(left), v)
             comps.append(comp)
             left -= comp
         ringset = set(ring)
@@ -498,7 +459,7 @@ def enhance(cfg: Configuration, l0: Configuration, ring):
         j.validate_light()
     except InputError as e:
         raise InputError(f"{cfg.name}: enhancement is degenerate: {e.message}")
-    if len(j.ids) >= 3 and not _two_connected(j.adj, j.ids):
+    if _cut_vertices(j.adj, j.ids):
         raise InputError(f"{cfg.name}: enhancement is not 2-connected")
     return j, extra
 

@@ -49,8 +49,8 @@ class RunReport:
 
 
 def parse_presentation(text, path=None):
-    """Returns (degree, lines).  Syntax only; the level discipline is
-    enforced while running (and statically by structural_problems)."""
+    """Returns (degree, lines).  Syntax only; walk_levels holds the
+    steps to the level discipline."""
     degree = None
     lines = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -129,20 +129,19 @@ def _ints(parts, no, path):
         raise InputError("non-integer field", no, path)
 
 
-def structural_problems(degree, lines):
-    """Static level-discipline findings, one (line, text) per defect.
-    Stops at the first structural break since levels downstream of it
-    are meaningless."""
-    probs = []
+def walk_levels(lines):
+    """Yield the steps of a parsed script in order while holding them
+    to the level discipline; raises InputError at the first break.
+    Levels past a break mean nothing, so the walk stops there."""
     level = 0
     closed = False
     for ln in lines:
         if closed:
-            probs.append((ln.no, "step after the proof already closed"))
-            return probs
+            raise InputError("step after the proof already closed", ln.no)
         if ln.level != level:
-            probs.append((ln.no, f"level {ln.level} where {level} is expected"))
-            return probs
+            raise InputError(
+                f"level {ln.level} where {level} is expected", ln.no)
+        yield ln
         if ln.kind == "C":
             level += 1
         elif level == 0:
@@ -150,8 +149,8 @@ def structural_problems(degree, lines):
         else:
             level -= 1
     if not closed:
-        probs.append((lines[-1].no, "proof ends with branches still open"))
-    return probs
+        raise InputError("proof ends with branches still open",
+                         lines[-1].no if lines else 1)
 
 
 def check_symmetry_disposition(pool, k, eps, l, m, a):
@@ -199,17 +198,11 @@ def run_presentation(degree, lines, table, db, trace=None):
     axles = [start]
     conds = [NULL_CONDITION]
     pool = []
-    level = 0
-    closed = False
     report = RunReport(degree)
     reducer = _make_reducer(db)
 
-    for ln in lines:
-        if closed:
-            raise InputError("step after the proof already closed", ln.no)
-        if ln.level != level:
-            raise InputError(
-                f"level {ln.level} where {level} is expected", ln.no)
+    for ln in walk_levels(lines):
+        level = ln.level
         a = axles[level]
         report.steps += 1
         if ln.kind == "C":
@@ -236,7 +229,6 @@ def run_presentation(degree, lines, table, db, trace=None):
             if trace is not None:
                 trace.append(f"line {ln.no} level {level} C {c[0]} {c[1]} "
                              f"axle={a.digest()} verdict=split")
-            level += 1
             continue
 
         # disposition of the current branch
@@ -267,14 +259,6 @@ def run_presentation(degree, lines, table, db, trace=None):
         while keep > 0 and pool[keep - 1].level >= level:
             keep -= 1
         del pool[keep:]
-        if level == 0:
-            closed = True
-        else:
-            level -= 1
-
-    if not closed:
-        raise InputError("proof ends with branches still open",
-                         lines[-1].no if lines else 1)
     return report
 
 

@@ -120,22 +120,6 @@ def parse_rules(text, path=None):
     return rules
 
 
-def reconstruct_rule_graph(spec: RuleSpec):
-    """Vertices, edges, clockwise triangles implied by the template."""
-    vertices = set(spec.slots)
-    edges = {frozenset((0, 1))}
-    triangles = []
-    for s in sorted(vertices):
-        if s in (0, 1):
-            continue
-        a, b = RULE_PARENTS[s]
-        triangles.append((a, b, s))
-        edges.add(frozenset((a, s)))
-        edges.add(frozenset((b, s)))
-        edges.add(frozenset((a, b)))
-    return vertices, edges, triangles
-
-
 def mirror_rule_spec(spec: RuleSpec) -> RuleSpec:
     bounds = sorted((MIRROR_SLOTS.get(s, s), b, e) for s, b, e in spec.bounds)
     # keep v0, v1 first, then ascending

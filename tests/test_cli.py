@@ -204,6 +204,22 @@ def test_trace_to_a_missing_directory_is_bad_input(files, monkeypatch,
     assert "verified" not in out
 
 
+def test_trace_directory_is_checked_before_verifying(files, monkeypatch,
+                                                     tmp_path):
+    # the script fails at its first step, before any trace line exists
+    pres = write(tmp_path, "first.pres", "degree 7\n0 C 15 -6\n")
+    target = tmp_path / "missing"
+    monkeypatch.setenv("CARTWHEEL_TRACE_DIR", str(target))
+    code, out, err = run_cli(["verify", "-d", "7", "-r", files["rules_empty"],
+                              "-p", pres, "-c", files["configs_empty"],
+                              "--trace"])
+    assert code == 2
+    path = target / "trace-verify-d7.txt"
+    assert err == f"error: {path}: cannot write the trace: " \
+                  f"No such file or directory\n"
+    assert out == ""
+
+
 def test_trace_survives_a_failure(files, monkeypatch, tmp_path):
     monkeypatch.setenv("CARTWHEEL_TRACE_DIR", str(tmp_path))
     code, out, err = verify(files, "evicted", "rules_empty", "configs_empty",
@@ -283,6 +299,23 @@ def test_lint_flags_presentation_problems(tmp_path):
     lines = out.splitlines()
     assert f"{pres}:3: step after the proof already closed" in lines
     assert f"{pres}:2: hubcap sum fails the closing inequality" in lines
+
+
+@pytest.mark.parametrize("body, line, message", [
+    (f"0 C 1 -6\n2 H {ZERO_TRIPLES_7}\n", 3, "level 2 where 1 is expected"),
+    (f"0 H {ZERO_TRIPLES_7}\n0 H {ZERO_TRIPLES_7}\n", 3,
+     "step after the proof already closed"),
+    (f"0 C 1 -6\n1 H {ZERO_TRIPLES_7}\n", 3,
+     "proof ends with branches still open"),
+], ids=["level-skip", "after-closing", "open-branches"])
+def test_lint_and_verify_report_the_same_level_break(files, tmp_path, body,
+                                                     line, message):
+    pres = write(tmp_path, "broken.pres", "degree 7\n" + body)
+    code, out, err = run_cli(["lint", "-p", pres])
+    assert (code, out, err) == (1, f"{pres}:{line}: {message}\n", "")
+    code, out, err = run_cli(["verify", "-d", "7", "-r", files["rules_empty"],
+                              "-p", pres, "-c", files["configs_empty"]])
+    assert (code, out, err) == (2, "", f"error: {pres}:{line}: {message}\n")
 
 
 def test_lint_flags_config_radius(tmp_path):

@@ -25,6 +25,8 @@ from cartwheel_discharge.configurations import (
     reflect_question,
 )
 from cartwheel_discharge.errors import InputError
+from cartwheel_discharge.oracles import random_axle
+from cartwheel_discharge.reducibility import skeleton_of
 
 
 def parse_one(text):
@@ -297,6 +299,32 @@ def test_enhance_gives_the_dot_a_companion():
     j, extra = enhance(cfg, l0, ring)
     assert extra == 2
     assert sorted(j.ids) == [1, 2]
+
+
+def test_enhance_rejects_more_than_one_cut_vertex():
+    # three triangles in a chain, joined at vertices 3 and 5
+    rot = {1: [2, 3], 2: [3, 1], 3: [1, 2, 4, 5], 4: [5, 3],
+           5: [3, 4, 6, 7], 6: [7, 5], 7: [5, 6]}
+    gamma = {v: 6 if v in (3, 5) else 5 for v in rot}
+    cfg = make_config("chain", gamma, rot)
+    l0, ring = free_completion(cfg)
+    assert len(ring) == 10
+    with pytest.raises(InputError,
+                       match="2 cut vertices, expected exactly one"):
+        enhance(cfg, l0, ring)
+
+
+def test_light_validation_finds_the_same_triangles():
+    drawings = []
+    for cfg in parse_configurations(CONFIGS_DB):
+        drawings += [cfg, free_completion(cfg)[0]]
+    drawings += [skeleton_of(random_axle(d, s)).cfg
+                 for d in range(7, 12) for s in range(20)]
+    for cfg in drawings:
+        light = Configuration(cfg.name, cfg.gamma, cfg.rot,
+                              cfg.cyclic).validate_light()
+        assert light.third == cfg.third, cfg.name
+        assert light.triangles == cfg.triangles, cfg.name
 
 
 def test_question_golden_triangle():

@@ -19,7 +19,7 @@ from cartwheel_discharge.errors import InputError, VerificationFailure
 from cartwheel_discharge.presentation import (
     parse_presentation,
     run_presentation,
-    structural_problems,
+    walk_levels,
 )
 from cartwheel_discharge.rules import derive_outlets, parse_rules
 
@@ -99,26 +99,31 @@ def test_parse_rejections(text, msg, line):
 def test_structure_accepts_the_fixtures():
     for text in (PRESENT_ZERO_7, PRESENT_SYMMETRY_7, PRESENT_REFLECT_7,
                  PRESENT_REDUCE_7, PRESENT_EVICTED_7):
-        degree, lines = parse(text)
-        assert structural_problems(degree, lines) == []
+        _, lines = parse(text)
+        assert list(walk_levels(lines)) == lines
+
+
+def level_break(text):
+    _, lines = parse(text)
+    with pytest.raises(InputError) as e:
+        for _ in walk_levels(lines):
+            pass
+    return e.value.line, e.value.message
 
 
 def test_structure_flags_a_level_skip():
-    degree, lines = parse(f"degree 7\n0 C 1 -6\n2 H {ZERO_TRIPLES_7}\n")
-    assert structural_problems(degree, lines) == [
-        (3, "level 2 where 1 is expected")]
+    assert level_break(f"degree 7\n0 C 1 -6\n2 H {ZERO_TRIPLES_7}\n") == (
+        3, "level 2 where 1 is expected")
 
 
 def test_structure_flags_steps_after_closing():
-    degree, lines = parse(f"degree 7\n0 R\n0 H {ZERO_TRIPLES_7}\n")
-    assert structural_problems(degree, lines) == [
-        (3, "step after the proof already closed")]
+    assert level_break(f"degree 7\n0 R\n0 H {ZERO_TRIPLES_7}\n") == (
+        3, "step after the proof already closed")
 
 
 def test_structure_flags_open_branches():
-    degree, lines = parse(f"degree 7\n0 C 1 -6\n1 H {ZERO_TRIPLES_7}\n")
-    assert structural_problems(degree, lines) == [
-        (3, "proof ends with branches still open")]
+    assert level_break(f"degree 7\n0 C 1 -6\n1 H {ZERO_TRIPLES_7}\n") == (
+        3, "proof ends with branches still open")
 
 
 # --------------------------------------------------------------- running

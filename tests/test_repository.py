@@ -1,6 +1,10 @@
-"""Repository hygiene: git tracks nothing that .gitignore excludes."""
+"""Repository hygiene: git tracks nothing that .gitignore excludes, and
+every top-level definition of the package is used somewhere."""
 
+import ast
+import glob
 import os
+import re
 import shutil
 import subprocess
 
@@ -24,3 +28,57 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+PACKAGE = os.path.join(ROOT, "src", "cartwheel_discharge")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _words(node):
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".")
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return re.findall(r"\w+", node.value)
+    return []
+
+
+def _uses(tree):
+    """Identifiers and words of string literals in a module, leaving
+    out docstrings and each top-level definition's mentions of its own
+    name."""
+    used = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, DEFINITIONS) else None
+        prose = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Expr) and \
+                    isinstance(node.value, ast.Constant):
+                prose.add(id(node.value))
+            elif id(node) not in prose:
+                used.update(w for w in _words(node) if w != own)
+    return used
+
+
+def test_every_package_definition_is_used():
+    init = os.path.join(PACKAGE, "__init__.py")
+    defined = {}
+    used = set()
+    for base in ("src", "tests", "perfbench"):
+        for path in glob.glob(os.path.join(ROOT, base, "**", "*.py"),
+                              recursive=True):
+            if path == init:
+                continue
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            used |= _uses(tree)
+            if os.path.dirname(path) == PACKAGE:
+                for top in tree.body:
+                    if isinstance(top, DEFINITIONS):
+                        defined[top.name] = os.path.relpath(path, ROOT)
+    unused = sorted(f"{path}: {name}" for name, path in defined.items()
+                    if name not in used)
+    assert unused == []
