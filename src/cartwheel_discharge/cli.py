@@ -17,8 +17,7 @@ import traceback
 
 from .configurations import (build_good_configuration, load_database,
                              parse_configurations, radius_at_most_two)
-from .errors import (CartwheelError, InputError, InternalInvariantError,
-                     VerificationFailure)
+from .errors import InputError, InternalInvariantError, VerificationFailure
 from .hubcaps import check_h2, validate_hubcap
 from .presentation import parse_presentation, run_presentation, walk_levels
 from .rules import (derive_outlets, diff_outlet_tables, format_outlet_table,
@@ -237,9 +236,6 @@ def main(argv=None) -> int:
     except VerificationFailure as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
-    except CartwheelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, integers, records
 
 
 def _canon_triangle(a, b, c):
@@ -204,12 +204,7 @@ def parse_configurations(text, path=None):
     start = 0
     gamma = {}
     rot = {}
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "config":
             if name is not None:
                 raise InputError(f"config {name!r} not closed with 'end'",
@@ -217,10 +212,8 @@ def parse_configurations(text, path=None):
             if len(parts) != 3:
                 raise InputError("expected 'config <name> <nVertices>'",
                                  lineno, path)
-            try:
-                want = int(parts[2])
-            except ValueError:
-                raise InputError("vertex count must be an integer", lineno, path)
+            want, = integers(parts[2:], "vertex count must be an integer",
+                             lineno, path)
             name = parts[1]
             start = lineno
             gamma = {}
@@ -232,13 +225,9 @@ def parse_configurations(text, path=None):
             if len(parts) < 4 or parts[3] != ":":
                 raise InputError("expected 'v <id> <gamma> : <neighbors>'",
                                  lineno, path)
-            try:
-                vid = int(parts[1])
-                g = int(parts[2])
-                neigh = [int(x) for x in parts[4:]]
-            except ValueError:
-                raise InputError("non-integer field in vertex line",
-                                 lineno, path)
+            vid, g, *neigh = integers(parts[1:3] + parts[4:],
+                                      "non-integer field in vertex line",
+                                      lineno, path)
             if vid in rot:
                 raise InputError(f"vertex {vid} listed twice", lineno, path)
             if g > 11:
@@ -273,7 +262,8 @@ def parse_configurations(text, path=None):
         else:
             raise InputError(f"unexpected {parts[0]!r}", lineno, path)
     if name is not None:
-        raise InputError(f"config {name!r} not closed with 'end'", lineno, path)
+        last = text.count("\n") + (not text.endswith("\n"))
+        raise InputError(f"config {name!r} not closed with 'end'", last, path)
     return configs
 
 
@@ -374,28 +364,17 @@ def free_completion(cfg: Configuration):
                 raise InternalInvariantError("corner flanks out of order")
             lst[t:t] = reversed(fans[j])
 
-    runs = {}
-    for j, fan in enumerate(fans):
-        for t, q in enumerate(fan):
-            runs.setdefault(q, []).append((j, t == 0, t == len(fan) - 1))
-    nc = len(corners)
+    # a ring vertex sees the corners whose fans hold it in walk order,
+    # except ring[0]: the corners at offset 0 open it and the last ones
+    # close it, and its rotation starts with the closing ones
+    owners = {q: [] for q in ring}
+    for (v, _, _), fan in zip(corners, fans):
+        for q in fan:
+            owners[q].append(v)
+    lead = offs.count(0)
+    owners[ring[0]] = owners[ring[0]][lead:] + owners[ring[0]][:lead]
     for idx, q in enumerate(ring):
-        entries = runs[q]
-        if len(entries) == 1:
-            owners = [corners[entries[0][0]][0]]
-        else:
-            starts = [j for j, first, last in entries if last and not first]
-            members = {j for j, _, _ in entries}
-            if len(starts) != 1:
-                raise InternalInvariantError("ring corner run has no start")
-            owners = []
-            j = starts[0]
-            while len(owners) < len(entries):
-                if j not in members:
-                    raise InternalInvariantError("ring corner run is broken")
-                owners.append(corners[j][0])
-                j = (j + 1) % nc
-        rot[q] = [ring[(idx - 1) % m]] + owners + [ring[(idx + 1) % m]]
+        rot[q] = [ring[(idx - 1) % m]] + owners[q] + [ring[(idx + 1) % m]]
 
     gam = {v: cfg.gamma[v] for v in ids}
     cyc = {v: True for v in ids}

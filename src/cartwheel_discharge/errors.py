@@ -35,6 +35,30 @@ class InputError(CartwheelError):
         return self.message
 
 
+def records(text):
+    """Yield (line number, fields) for every line of text that holds
+    anything once its '#' comment is cut.  Lines end at '\\n' only, so
+    form feeds and Unicode line separators are just whitespace."""
+    for no, raw in enumerate(text.split("\n"), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield no, fields
+
+
+def integers(fields, message, line, path):
+    """The fields as ints, each an optional '-' followed by ASCII
+    digits; anything else raises InputError(message, line, path)."""
+    # on fields free of whitespace, as records gives them, int() takes
+    # just those once '+', '_' and non-ASCII digits are ruled out
+    text = "".join(fields)
+    if text.isascii() and "+" not in text and "_" not in text:
+        try:
+            return list(map(int, fields))
+        except ValueError:
+            pass
+    raise InputError(message, line, path)
+
+
 class VerificationFailure(CartwheelError):
     """The inputs parsed fine but the proof does not check out."""
 

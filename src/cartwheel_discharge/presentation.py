@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .axles import (CONDITION_VALUES, NULL_CONDITION, axle_wedge_condition,
+from .axles import (CONDITION_VALUES, axle_wedge_condition,
                     condition_compatible, is_fan_free, negate_condition,
                     symmetry_permutation, trivial_axle)
 from .errors import (InputError, InternalInvariantError, ReducibilityFailure,
-                     VerificationFailure)
+                     VerificationFailure, integers, records)
 from .hubcaps import check_hubcap
 from .reducibility import reducible
-from .rules import axle_from_outlet, enforced, outlet_from_axle
+from .rules import enforced, outlet_from_axle
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class PresentationLine:
 class PoolEntry:
     line: int
     level: int
-    outlet: object
+    axle: object
 
 
 @dataclass
@@ -53,25 +53,17 @@ def parse_presentation(text, path=None):
     steps to the level discipline."""
     degree = None
     lines = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
+    for no, parts in records(text):
         if degree is None:
             if parts[0] != "degree" or len(parts) != 2:
                 raise InputError("expected 'degree <d>' first", no, path)
-            try:
-                degree = int(parts[1])
-            except ValueError:
-                raise InputError("degree must be an integer", no, path)
+            degree, = integers(parts[1:], "degree must be an integer", no,
+                               path)
             if not 5 <= degree <= 11:
                 raise InputError(f"degree {degree} out of range 5..11", no, path)
             continue
-        try:
-            level = int(parts[0])
-        except ValueError:
-            raise InputError("line must start with its level", no, path)
+        level, = integers(parts[:1], "line must start with its level", no,
+                          path)
         if level < 0:
             raise InputError("negative level", no, path)
         if len(parts) < 2:
@@ -81,7 +73,7 @@ def parse_presentation(text, path=None):
         if kind == "C":
             if len(args) != 2:
                 raise InputError("condition takes exactly 'n m'", no, path)
-            n, m = _ints(args, no, path)
+            n, m = integers(args, "non-integer field", no, path)
             if not 1 <= n <= 5 * degree:
                 raise InputError(f"position {n} out of range 1..{5 * degree}",
                                  no, path)
@@ -93,14 +85,14 @@ def parse_presentation(text, path=None):
                 raise InputError("reducibility step takes no arguments", no, path)
             payload = ()
         elif kind == "H":
-            vals = _ints(args, no, path)
+            vals = integers(args, "non-integer field", no, path)
             if not vals or len(vals) % 3:
                 raise InputError("bound step takes (x y v) triples", no, path)
             payload = tuple(tuple(vals[t:t + 3]) for t in range(0, len(vals), 3))
         elif kind == "S":
             if len(args) != 4:
                 raise InputError("symmetry step takes 'k eps l m'", no, path)
-            k, eps, l, m = _ints(args, no, path)
+            k, eps, l, m = integers(args, "non-integer field", no, path)
             if not 0 <= k < degree:
                 raise InputError(f"rotation {k} out of range 0..{degree - 1}",
                                  no, path)
@@ -120,13 +112,6 @@ def parse_presentation(text, path=None):
     if not lines:
         raise InputError("no steps after the degree header", 1, path)
     return degree, lines
-
-
-def _ints(parts, no, path):
-    try:
-        return [int(x) for x in parts]
-    except ValueError:
-        raise InputError("non-integer field", no, path)
 
 
 def walk_levels(lines):
@@ -164,7 +149,7 @@ def check_symmetry_disposition(pool, k, eps, l, m, a):
             break
     if entry is None:
         return False
-    base = axle_from_outlet(entry.outlet, a.d)
+    base = entry.axle
     perm = symmetry_permutation(k, eps, a.d)
     contained = True
     for i in range(2 * a.d + 1):
@@ -173,7 +158,7 @@ def check_symmetry_disposition(pool, k, eps, l, m, a):
             contained = False
             break
     if eps == 0:
-        fast = enforced(a, entry.outlet, k + 1)
+        fast = enforced(a, outlet_from_axle(base), k + 1)
         if fast != contained:
             raise InternalInvariantError(
                 "rotation containment disagrees with the interval kernel")
@@ -194,16 +179,17 @@ def run_presentation(degree, lines, table, db, trace=None):
     and the good-configuration database.  Returns a RunReport; raises
     VerificationFailure (with the offending line) when a branch cannot
     be disposed, InputError when the script is malformed."""
+    # one frame per open level: the branch, and the branch built from
+    # the conditions of its path alone (None once they clash)
     start = trivial_axle(degree)
-    axles = [start]
-    conds = [NULL_CONDITION]
+    frames = [(start, start)]
     pool = []
     report = RunReport(degree)
     reducer = _make_reducer(db)
 
     for ln in walk_levels(lines):
         level = ln.level
-        a = axles[level]
+        a, path = frames[level]
         report.steps += 1
         if ln.kind == "C":
             c = ln.payload
@@ -217,13 +203,8 @@ def run_presentation(degree, lines, table, db, trace=None):
                     f"negated condition {neg} incompatible alongside {c}")
             hi_branch = axle_wedge_condition(a, c)
             lo_branch = axle_wedge_condition(a, neg)
-            del axles[level:]
-            axles.append(lo_branch)
-            axles.append(hi_branch)
-            del conds[level:]
-            conds.append(c)
-            conds.append(NULL_CONDITION)
-            _pool_branch(pool, conds[:level + 1], ln, degree)
+            frames[level:] = [(lo_branch, path),
+                              (hi_branch, _pool_branch(pool, path, c, ln))]
             report.pool_peak = max(report.pool_peak, len(pool))
             report.branches += 1
             if trace is not None:
@@ -262,17 +243,13 @@ def run_presentation(degree, lines, table, db, trace=None):
     return report
 
 
-def _pool_branch(pool, history, ln, degree):
-    """Record the just-split branch for later symmetry appeals: the
-    branch rebuilt from the header axle and the path conditions alone,
-    kept only when that chain holds and stays fan-free."""
-    b = trivial_axle(degree)
-    for c in history:
-        if c == NULL_CONDITION:
-            continue
-        if not condition_compatible(b, c):
-            return
-        b = axle_wedge_condition(b, c)
-    if not is_fan_free(b):
-        return
-    pool.append(PoolEntry(ln.no, ln.level, outlet_from_axle(b)))
+def _pool_branch(pool, path, c, ln):
+    """Path branch of the side of a split that takes condition c: the
+    parent's path wedged with c, or None once the chain breaks.  It is
+    pooled for later symmetry appeals when it is fan-free."""
+    if path is None or not condition_compatible(path, c):
+        return None
+    path = axle_wedge_condition(path, c)
+    if is_fan_free(path):
+        pool.append(PoolEntry(ln.no, ln.level, path))
+    return path

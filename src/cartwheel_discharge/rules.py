@@ -22,7 +22,7 @@ from functools import cached_property
 
 from . import _kernels
 from .axles import Axle, band_of, fan_row, is_fan_free, spoke_of, trivial_axle
-from .errors import InputError
+from .errors import InputError, integers, records
 
 RULE_PARENTS = {
     2: (0, 1), 3: (1, 0), 4: (0, 2), 5: (3, 0), 6: (2, 1),
@@ -81,17 +81,10 @@ class DerivedOutlet:
 def parse_rules(text, path=None):
     """Parse a rules file into RuleSpecs, in file order."""
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] != "rule":
             raise InputError(f"expected 'rule', got {parts[0]!r}", lineno, path)
-        try:
-            nums = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise InputError("non-integer field in rule", lineno, path)
+        nums = integers(parts[1:], "non-integer field in rule", lineno, path)
         if len(nums) < 4 or (len(nums) - 4) % 3 != 0:
             raise InputError("rule needs 4 bounds plus (index lo hi) triples",
                              lineno, path)
@@ -320,23 +313,16 @@ def format_outlet_table(table):
 
 def parse_outlet_table(text, path=None):
     table = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] != "outlet" or len(parts) < 4:
             raise InputError("expected 'outlet <rule> <T|T'> <value> ...'",
                              lineno, path)
         if parts[2] not in ("T", "T'"):
             raise InputError(f"kind must be T or T', got {parts[2]!r}",
                              lineno, path)
-        try:
-            index = int(parts[1])
-            value = int(parts[3])
-            nums = [int(p) for p in parts[4:]]
-        except ValueError:
-            raise InputError("non-integer field in outlet line", lineno, path)
+        index, value, *nums = integers(
+            parts[1:2] + parts[3:], "non-integer field in outlet line",
+            lineno, path)
         if len(nums) % 3 != 0:
             raise InputError("outlet entries must be (pos lo hi) triples",
                              lineno, path)

@@ -91,8 +91,15 @@ def test_parse_rejects_vertex_outside_record():
 
 
 def test_parse_rejects_unclosed_record():
-    with pytest.raises(InputError, match="not closed with 'end'"):
-        parse_configurations("config bad 1\nv 1 5 :\n")
+    # the error names the file's last line, blank or not
+    for text, last in (("config bad 1\nv 1 5 :\n", 2),
+                       ("config bad 1\nv 1 5 :", 2),
+                       ("config bad 1\nv 1 5 :\n\n", 3),
+                       ("config bad 1\nv 1 5 :\n# tail", 3),
+                       ("config bad 1\r\nv 1 5 :\r\n\r\n", 3)):
+        with pytest.raises(InputError, match="not closed with 'end'") as e:
+            parse_configurations(text)
+        assert e.value.line == last
 
 
 def test_parse_rejects_missing_colon():

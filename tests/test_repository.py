@@ -1,5 +1,6 @@
-"""Repository hygiene: git tracks nothing that .gitignore excludes, and
-every top-level definition of the package is used somewhere."""
+"""Repository hygiene: git tracks nothing that .gitignore excludes,
+every top-level definition of the package is used somewhere, and one
+reader turns input text into lines and integers."""
 
 import ast
 import glob
@@ -82,3 +83,22 @@ def test_every_package_definition_is_used():
     unused = sorted(f"{path}: {name}" for name, path in defined.items()
                     if name not in used)
     assert unused == []
+
+
+def test_only_the_line_reader_splits_lines_and_reads_integers():
+    """`errors.records` and `errors.integers` are the one place where
+    input text is cut into lines and fields become ints."""
+    calls = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        if os.path.basename(path) == "errors.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "splitlines") or \
+                    (isinstance(f, ast.Name) and f.id == "int"):
+                calls.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
+    assert calls == []
