@@ -18,8 +18,7 @@ from .errors import (CartwheelError, InputError, InternalInvariantError,
                      ReducibilityFailure, VerificationFailure)
 from .hubcaps import check_bound, check_h2, check_hubcap, validate_hubcap
 from .presentation import (RunReport, parse_presentation, run_presentation)
-from .reducibility import (Skeleton, check_iso, find_positive_answer,
-                           reducible, semi_reducible, skeleton_of,
+from .reducibility import (check_iso, reducible, semi_reducible, skeleton_of,
                            well_positioned)
 from .rules import (Outlet, axle_from_outlet, axle_wedge_outlet,
                     derive_outlets, enforced, mirror_rule_spec,
@@ -37,10 +36,9 @@ __all__ = [
     "reflect_question", "CartwheelError", "InputError",
     "InternalInvariantError", "ReducibilityFailure", "VerificationFailure",
     "check_bound", "check_h2", "check_hubcap", "validate_hubcap",
-    "RunReport", "parse_presentation", "run_presentation", "Skeleton",
-    "check_iso", "find_positive_answer", "reducible", "semi_reducible",
-    "skeleton_of", "well_positioned", "Outlet", "axle_from_outlet",
-    "axle_wedge_outlet", "derive_outlets", "enforced", "mirror_rule_spec",
-    "outlet_from_axle", "parse_rules", "permitted", "validate_outlet",
-    "__version__",
+    "RunReport", "parse_presentation", "run_presentation", "check_iso",
+    "reducible", "semi_reducible", "skeleton_of", "well_positioned",
+    "Outlet", "axle_from_outlet", "axle_wedge_outlet", "derive_outlets",
+    "enforced", "mirror_rule_spec", "outlet_from_axle", "parse_rules",
+    "permitted", "validate_outlet", "__version__",
 ]

@@ -20,16 +20,15 @@ Its wedge intersects the entries into A: A & W.
 
 from __future__ import annotations
 
-from .axles import bucket_mask
+from .axles import bucket_mask, pos_add
 
 
 def compile_outlet(entries, x, d):
     """(N, W, E, K, H) for the entries ((position, lo, hi), ...) placed at
     spoke x: each position shifted by x - 1 within its band."""
-    shift = x - 1
     n = k = h = 0
     for p, lo, hi in entries:
-        q = p + shift if shift + (p - 1) % d < d else p + shift - d
+        q = pos_add(p, x - 1, d)
         m = bucket_mask(lo, hi)
         if not m:
             raise ValueError(f"outlet entry ({p}, {lo}, {hi}) has no "

@@ -17,7 +17,8 @@ import traceback
 
 from .configurations import (build_good_configuration, load_database,
                              parse_configurations, radius_at_most_two)
-from .errors import InputError, InternalInvariantError, VerificationFailure
+from .errors import (InputError, InternalInvariantError, VerificationFailure,
+                     records)
 from .hubcaps import check_h2, validate_hubcap
 from .presentation import parse_presentation, run_presentation, walk_levels
 from .rules import (derive_outlets, diff_outlet_tables, format_outlet_table,
@@ -66,6 +67,16 @@ def _emit_trace(trace, fh):
     print(f"trace written to {fh.name}")
 
 
+def _outlets(path, degree):
+    """Outlet table of the rules file at path; its errors name the file."""
+    rules = parse_rules(_read(path), path)
+    try:
+        return derive_outlets(rules, degree)
+    except InputError as e:
+        e.path = path
+        raise
+
+
 def _golden_mismatch(table, path):
     """Print how the derived outlet table differs from the golden table
     at path; True when it does."""
@@ -80,17 +91,17 @@ def _golden_mismatch(table, path):
 def cmd_verify(args) -> int:
     if not 7 <= args.degree <= 11:
         raise InputError(f"degree {args.degree} out of range 7..11")
-    rules = parse_rules(_read(args.rules), args.rules)
-    table = derive_outlets(rules, args.degree)
+    table = _outlets(args.rules, args.degree)
     if args.golden and _golden_mismatch(table, args.golden):
         return 1
     db = load_database(_read(args.configs), args.configs)
-    degree, lines = parse_presentation(_read(args.presentation),
-                                       args.presentation)
+    text = _read(args.presentation)
+    degree, lines = parse_presentation(text, args.presentation)
     if degree != args.degree:
+        head, _ = next(records(text))
         raise InputError(
             f"presentation is for degree {degree}, requested {args.degree}",
-            1, args.presentation)
+            head, args.presentation)
     trace = [] if args.trace else None
     failure = None
     with _open_trace(args.trace, degree) as fh:
@@ -115,8 +126,7 @@ def cmd_verify(args) -> int:
 def cmd_derive_outlets(args) -> int:
     if not 5 <= args.degree <= 11:
         raise InputError(f"degree {args.degree} out of range 5..11")
-    rules = parse_rules(_read(args.rules), args.rules)
-    table = derive_outlets(rules, args.degree)
+    table = _outlets(args.rules, args.degree)
     if args.golden:
         if _golden_mismatch(table, args.golden):
             return 1

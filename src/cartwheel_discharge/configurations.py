@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InternalInvariantError, integers, records
+from .errors import (InputError, InternalInvariantError, integers, records,
+                     split_lines)
 
 
 def _canon_triangle(a, b, c):
@@ -262,7 +263,8 @@ def parse_configurations(text, path=None):
         else:
             raise InputError(f"unexpected {parts[0]!r}", lineno, path)
     if name is not None:
-        last = text.count("\n") + (not text.endswith("\n"))
+        lines = split_lines(text)
+        last = len(lines) - (lines[-1] == "")
         raise InputError(f"config {name!r} not closed with 'end'", last, path)
     return configs
 
@@ -546,4 +548,9 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
 
 
 def load_database(text, path=None):
-    return [build_good_configuration(c) for c in parse_configurations(text, path)]
+    configs = parse_configurations(text, path)
+    try:
+        return [build_good_configuration(c) for c in configs]
+    except InputError as e:
+        e.path = path
+        raise

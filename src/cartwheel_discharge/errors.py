@@ -8,38 +8,44 @@ from __future__ import annotations
 
 
 class CartwheelError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.
 
-
-class InputError(CartwheelError):
-    """A rules / configuration / presentation file is malformed.
-
-    Carries an optional 1-based line number and path so the CLI can
-    point at the offending line.
+    Carries the message and, when known, the 1-based line and the path
+    of the file it concerns, so the CLI can point at the offending line.
     """
 
-    def __init__(self, message: str, line: int | None = None, path: str | None = None):
+    def __init__(self, message: str, line: int | None = None,
+                 path: str | None = None):
         self.message = message
         self.line = line
         self.path = path
         super().__init__(message)
 
     def __str__(self) -> str:
-        where = ""
-        if self.path is not None:
-            where += self.path
-        if self.line is not None:
-            where += f":{self.line}"
-        if where:
-            return f"{where}: {self.message}"
-        return self.message
+        if self.path is None:
+            if self.line is None:
+                return self.message
+            return f"line {self.line}: {self.message}"
+        if self.line is None:
+            return f"{self.path}: {self.message}"
+        return f"{self.path}:{self.line}: {self.message}"
+
+
+class InputError(CartwheelError):
+    """A rules / configuration / presentation file is malformed."""
+
+
+def split_lines(text):
+    """The lines of text, each ended by '\\r\\n', '\\r' or '\\n' and by
+    nothing else, so form feeds and Unicode line separators are just
+    whitespace.  A text that ends with a line break ends with ''."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def records(text):
     """Yield (line number, fields) for every line of text that holds
-    anything once its '#' comment is cut.  Lines end at '\\n' only, so
-    form feeds and Unicode line separators are just whitespace."""
-    for no, raw in enumerate(text.split("\n"), start=1):
+    anything once its '#' comment is cut."""
+    for no, raw in enumerate(split_lines(text), start=1):
         fields = raw.split("#", 1)[0].split()
         if fields:
             yield no, fields
@@ -61,16 +67,6 @@ def integers(fields, message, line, path):
 
 class VerificationFailure(CartwheelError):
     """The inputs parsed fine but the proof does not check out."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.message = message
-        self.line = line
-        super().__init__(message)
-
-    def __str__(self) -> str:
-        if self.line is not None:
-            return f"line {self.line}: {self.message}"
-        return self.message
 
 
 class ReducibilityFailure(VerificationFailure):

@@ -131,12 +131,13 @@ def brute_force_subconfig(lcfg, skel):
     canonical order."""
     if len(lcfg.ids) > 9:
         raise InputError("oracle cap: at most 9 configuration vertices")
-    if skel.d > 8:
+    d = skel.gamma[0]
+    if d > 8:
         raise InputError("oracle cap: hub degree at most 8")
-    krot = skel.cfg.rot
-    kgam = skel.cfg.gamma
+    krot = skel.rot
+    kgam = skel.gamma
     kadj = {v: set(ws) for v, ws in krot.items()}
-    ktris = _oriented_triangles(krot, skel.cfg.cyclic)
+    ktris = _oriented_triangles(krot, skel.cyclic)
     ladj = {v: set(ws) for v, ws in lcfg.rot.items()}
     ltris = _oriented_triangles(lcfg.rot, lcfg.cyclic)
 
@@ -184,7 +185,6 @@ def brute_force_subconfig(lcfg, skel):
 
     extend(0)
 
-    d = skel.d
     out = []
     for img in found:
         image = set(img.values())

@@ -61,6 +61,7 @@ def parse_presentation(text, path=None):
                                path)
             if not 5 <= degree <= 11:
                 raise InputError(f"degree {degree} out of range 5..11", no, path)
+            head = no
             continue
         level, = integers(parts[:1], "line must start with its level", no,
                           path)
@@ -110,7 +111,7 @@ def parse_presentation(text, path=None):
     if degree is None:
         raise InputError("empty proof script", 1, path)
     if not lines:
-        raise InputError("no steps after the degree header", 1, path)
+        raise InputError("no steps after the degree header", head, path)
     return degree, lines
 
 
@@ -224,11 +225,7 @@ def run_presentation(degree, lines, table, db, trace=None):
                     raise VerificationFailure(
                         "symmetry appeal does not cover the branch",
                         line=ln.no)
-        except VerificationFailure as e:
-            if e.line is None:
-                e.line = ln.no
-            raise
-        except InputError as e:
+        except (VerificationFailure, InputError) as e:
             if e.line is None:
                 e.line = ln.no
             raise

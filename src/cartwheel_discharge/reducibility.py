@@ -5,56 +5,40 @@ on tightened axles until every branch carries one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .axles import Axle, validate_axle
 from .configurations import Configuration, restrict_drawing
 from .errors import InputError, InternalInvariantError, ReducibilityFailure
-from .rules import _cartwheel_rotation
+from .rules import cartwheel_rotation
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    d: int
-    cfg: Configuration
-    pins: dict
-
-
-def skeleton_of(a: Axle) -> Skeleton:
+def skeleton_of(a: Axle) -> Configuration:
     """Drawing determined by the axle's upper bounds: the hub, the
     spokes, the hats, and fan rows for every spoke pinned to at most
-    8.  Vertex labels are the upper bounds (12 for an open spoke)."""
+    8.  Each position is labeled with its upper bound: d at the hub,
+    12 at an open spoke."""
     d = a.d
     pins = {i: a.hi[i] for i in range(1, d + 1) if a.hi[i] <= 8}
-    positions = [0] + list(range(1, 2 * d + 1))
+    positions = list(range(2 * d + 1))
     for i, k in pins.items():
         positions.extend(j * d + i for j in range(2, k - 3))
     gamma = {}
     rot = {}
     cyc = {}
     for p in sorted(positions):
-        if p == 0:
-            gamma[p] = d
-        elif p <= d:
-            gamma[p] = pins.get(p, 12)
-        else:
-            gamma[p] = a.hi[p]
-        lst, cyclic = _cartwheel_rotation(p, pins, d)
-        rot[p] = lst
-        cyc[p] = cyclic
-    cfg = Configuration(f"skeleton-{a.digest()}", gamma, rot, cyc)
+        gamma[p] = a.hi[p]
+        rot[p], cyc[p] = cartwheel_rotation(p, pins, d)
+    skel = Configuration(f"skeleton-{a.digest()}", gamma, rot, cyc)
     try:
-        cfg.validate()
+        return skel.validate()
     except InputError as e:
         raise InternalInvariantError(f"skeleton is not a valid drawing: {e}")
-    return Skeleton(d, cfg, pins)
 
 
-def well_positioned(f, cfg, skel: Skeleton) -> bool:
+def well_positioned(f, cfg, skel: Configuration) -> bool:
     """A placed configuration may omit a spoke only if it also omits
     one of the two hats beside it."""
     image = {f[v] for v in cfg.ids}
-    d = skel.d
+    d = skel.gamma[0]
     for i in range(1, d + 1):
         if i in image:
             continue
@@ -65,7 +49,7 @@ def well_positioned(f, cfg, skel: Skeleton) -> bool:
     return True
 
 
-def check_iso(f, cfg, skel: Skeleton) -> bool:
+def check_iso(f, cfg, skel: Configuration) -> bool:
     """Independent acceptance check on a placement: injective, label
     exact, adjacency preserved both ways, and the triangles of the
     configuration map onto triangular faces of the induced subdrawing
@@ -75,8 +59,8 @@ def check_iso(f, cfg, skel: Skeleton) -> bool:
     image = [f[v] for v in ids]
     if len(set(image)) != len(image):
         return False
-    kadj = skel.cfg.adj
-    kgam = skel.cfg.gamma
+    kadj = skel.adj
+    kgam = skel.gamma
     for v in ids:
         fv = f[v]
         if fv not in kadj or cfg.gamma[v] != kgam[fv]:
@@ -87,7 +71,7 @@ def check_iso(f, cfg, skel: Skeleton) -> bool:
                 continue
             if (u in cfg.adj[v]) != (f[u] in kadj[f[v]]):
                 return False
-    rot, _ = restrict_drawing(skel.cfg.rot, skel.cfg.cyclic, set(image))
+    rot, _ = restrict_drawing(skel.rot, skel.cyclic, set(image))
     pred = {}
     for x, lst in rot.items():
         for t, y in enumerate(lst):
@@ -111,25 +95,24 @@ def check_iso(f, cfg, skel: Skeleton) -> bool:
     return handed(False) or handed(True)
 
 
-def _positive_answers(question, skel: Skeleton):
+def _positive_answers(question, skel: Configuration):
     """All embeddings the probe sequence finds, in canonical order."""
-    cfg = skel.cfg
-    gam = cfg.gamma
+    gam = skel.gamma
     x0 = question[0][3]
     x1 = question[1][3]
     z0 = question[0][2]
     z1 = question[1][2]
-    for p in cfg.ids:
+    for p in skel.ids:
         if x0 > 0 and gam[p] != x0:
             continue
-        for r in sorted(cfg.adj[p]):
+        for r in sorted(skel.adj[p]):
             if x1 > 0 and gam[r] != x1:
                 continue
             f = {z0: p, z1: r}
             used = {p, r}
             ok = True
             for (u, v, z, xi) in question[2:]:
-                w = cfg.third.get((f[u], f[v]))
+                w = skel.third.get((f[u], f[v]))
                 if w is None or w in used or (xi > 0 and gam[w] != xi):
                     ok = False
                     break
@@ -139,11 +122,7 @@ def _positive_answers(question, skel: Skeleton):
                 yield f
 
 
-def find_positive_answer(question, skel: Skeleton):
-    return next(_positive_answers(question, skel), None)
-
-
-def semi_reducible(a: Axle, db, skel: Skeleton = None):
+def semi_reducible(a: Axle, db, skel: Configuration = None):
     """First good configuration appearing well-positioned in the
     skeleton of `a`, with its placement, or None.  For hub degree at
     least 6 an appearance must survive the independent isomorphism

@@ -119,7 +119,7 @@ def mirror_rule_spec(spec: RuleSpec) -> RuleSpec:
     return RuleSpec(tuple(bounds), spec.line)
 
 
-def _cartwheel_rotation(p, pins, d):
+def cartwheel_rotation(p, pins, d):
     """Known clockwise neighbor list around position p, and whether it
     is the complete (cyclic) rotation.
 
@@ -167,7 +167,7 @@ def _cartwheel_rotation(p, pins, d):
 def cartwheel_third(a, b, pins, d):
     """Clockwise third corner of directed edge (a, b): the successor
     of b in a's rotation.  None when it runs off the known part."""
-    rot, cyclic = _cartwheel_rotation(a, pins, d)
+    rot, cyclic = cartwheel_rotation(a, pins, d)
     if b not in rot:
         return None
     t = rot.index(b)
@@ -191,12 +191,10 @@ def _embed(spec: RuleSpec, hub_slot, d):
         pa, pb = RULE_PARENTS[s]
         p = cartwheel_third(pos[pa], pos[pb], pins, d)
         if p is None or not 1 <= p <= 5 * d:
-            raise InputError(
-                f"rule at line {spec.line}: v{s} does not embed at degree {d}")
+            raise InputError(f"v{s} does not embed at degree {d}", spec.line)
         if p in pos.values():
             raise InputError(
-                f"rule at line {spec.line}: v{s} collides at position {p} "
-                f"(degree {d})")
+                f"v{s} collides at position {p} (degree {d})", spec.line)
         pos[s] = p
         if band_of(p, d) == "spoke":
             b, e = spec.slot_bounds(s)
@@ -225,9 +223,8 @@ def derive_outlets(rules, d):
             outlet = Outlet(value, tuple(entries))
             problems = validate_outlet(outlet, d)
             if problems:
-                raise InputError(
-                    f"rule at line {spec.line}: derived {kind} outlet "
-                    f"invalid at degree {d}: {problems}")
+                raise InputError(f"derived {kind} outlet invalid at degree "
+                                 f"{d}: {problems}", spec.line)
             table.append(DerivedOutlet(index, kind, outlet))
     return table
 

@@ -12,6 +12,7 @@ from _fixtures import (
     CONFIGS_EMPTY,
     CONFIGS_SMALL,
     PRESENT_ZERO_7,
+    RULES_DEMO,
     RULES_EMPTY,
     int_mutants,
     make_config,
@@ -316,6 +317,30 @@ def test_end_to_end_synthetic_battery(tmp_path):
             assert code == 2, tag
             assert err.startswith(f"error: {mpath}:2:"), tag
     _done("end-to-end-battery", 30, t0)
+
+
+def test_rules_and_configs_mutation_battery(tmp_path):
+    # every +-1 integer mutant of a rules or configurations file keeps
+    # to the exit-code contract, and bad input names the mutated file
+    t0 = time.perf_counter()
+    base = {"rules": RULES_DEMO, "confs": CONFIGS_DB, "pres": PRESENT_ZERO_7}
+    paths = {ext: write(tmp_path, f"base.{ext}", text)
+             for ext, text in base.items()}
+    codes = {}
+    for ext in ("rules", "confs"):
+        for lineno, field, delta, text in int_mutants(base[ext]):
+            mutant = write(tmp_path, f"m{lineno}-{field}-{delta}.{ext}",
+                           text)
+            files = dict(paths, **{ext: mutant})
+            code, _, err = run_cli(["verify", "-d", "7", "-r", files["rules"],
+                                    "-p", files["pres"], "-c", files["confs"]])
+            assert code in (0, 1, 2) and "Traceback" not in err, mutant
+            if code == 2:
+                assert err.startswith(f"error: {mutant}"), err
+            codes[ext, code] = codes.get((ext, code), 0) + 1
+    assert codes == {("rules", 1): 29, ("rules", 2): 51,
+                     ("confs", 1): 38, ("confs", 2): 120}
+    _done("rules-configs-battery", 20, t0)
 
 
 def test_configuration_database_properties():

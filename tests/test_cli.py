@@ -5,6 +5,7 @@ import os
 import pytest
 
 from _fixtures import (
+    CONFIG_BOWTIE,
     CONFIG_LONG_PATH,
     CONFIGS_EMPTY,
     CONFIGS_SMALL,
@@ -138,6 +139,43 @@ def test_verify_rejects_degree_mismatch(files):
     assert code == 2
     assert err == (f"error: {files['zero']}:1: presentation is for "
                    f"degree 7, requested 8\n")
+
+
+@pytest.mark.parametrize("text, said", [
+    ("# c\n\ndegree 8\n0 H 1 1 0\n",
+     "3: presentation is for degree 8, requested 7"),
+    ("# c\n\ndegree 7\n", "3: no steps after the degree header"),
+], ids=["degree-mismatch", "no-steps"])
+def test_verify_header_errors_name_the_header_line(files, tmp_path, text,
+                                                  said):
+    pres = write(tmp_path, "head.pres", text)
+    code, _, err = run_cli(["verify", "-d", "7", "-r", files["rules_empty"],
+                            "-p", pres, "-c", files["configs_empty"]])
+    assert (code, err) == (2, f"error: {pres}:{said}\n")
+
+
+# v8 needs spoke 2 pinned; (5,8) leaves it loose
+RULES_LOOSE_V8 = "rule 6 6 5 12\nrule 5 12 5 12 2 5 8 4 5 12 8 5 7\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "derive-outlets"])
+def test_rule_errors_name_the_rules_file_and_line(files, tmp_path, command):
+    rules = write(tmp_path, "loose.rules", RULES_LOOSE_V8)
+    argv = [command, "-d", "7", "-r", rules]
+    if command == "verify":
+        argv += ["-p", files["zero"], "-c", files["configs_empty"]]
+    code, _, err = run_cli(argv)
+    assert (code, err) == (
+        2, f"error: {rules}:2: v8 does not embed at degree 7\n")
+
+
+def test_configuration_errors_name_the_configurations_file(files, tmp_path):
+    confs = write(tmp_path, "bow.confs",
+                  CONFIG_BOWTIE.replace("v 1 6 :", "v 1 7 :"))
+    code, _, err = run_cli(["verify", "-d", "7", "-r", files["rules_empty"],
+                            "-p", files["zero"], "-c", confs])
+    assert (code, err) == (2, f"error: {confs}: bowtie: vertex 1 splits the "
+                              f"boundary but is labeled 7 with degree 4\n")
 
 
 def test_verify_rejects_malformed_presentation(files, tmp_path):
@@ -287,6 +325,12 @@ def test_lint_flags_malformed_rules(files, tmp_path):
     code, out, _ = run_cli(["lint", "-r", bad])
     assert code == 1
     assert out.startswith(f"{bad}:1: ")
+
+
+def test_lint_names_the_line_of_a_rule_that_does_not_embed(tmp_path):
+    rules = write(tmp_path, "loose.rules", RULES_LOOSE_V8)
+    code, out, _ = run_cli(["lint", "-r", rules])
+    assert (code, out) == (1, f"{rules}:2: v8 does not embed at degree 5\n")
 
 
 def test_lint_flags_presentation_problems(tmp_path):

@@ -96,7 +96,8 @@ def test_parse_rejects_unclosed_record():
                        ("config bad 1\nv 1 5 :", 2),
                        ("config bad 1\nv 1 5 :\n\n", 3),
                        ("config bad 1\nv 1 5 :\n# tail", 3),
-                       ("config bad 1\r\nv 1 5 :\r\n\r\n", 3)):
+                       ("config bad 1\r\nv 1 5 :\r\n\r\n", 3),
+                       ("config bad 1\rv 1 5 :\r\r", 3)):
         with pytest.raises(InputError, match="not closed with 'end'") as e:
             parse_configurations(text)
         assert e.value.line == last
@@ -325,7 +326,7 @@ def test_light_validation_finds_the_same_triangles():
     drawings = []
     for cfg in parse_configurations(CONFIGS_DB):
         drawings += [cfg, free_completion(cfg)[0]]
-    drawings += [skeleton_of(random_axle(d, s)).cfg
+    drawings += [skeleton_of(random_axle(d, s))
                  for d in range(7, 12) for s in range(20)]
     for cfg in drawings:
         light = Configuration(cfg.name, cfg.gamma, cfg.rot,

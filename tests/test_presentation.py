@@ -63,6 +63,19 @@ def test_parse_skips_comments_and_blanks():
     assert [(ln.no, ln.kind) for ln in lines] == [(5, "R")]
 
 
+def test_parse_ends_lines_at_a_bare_carriage_return():
+    degree, lines = parse("degree 7\r0 H 1 1 0 2 2 0 3 3 0 4 4 0 5 5 0 "
+                          "6 6 0 7 7 0\r")
+    assert degree == 7
+    assert [(ln.no, ln.kind) for ln in lines] == [(2, "H")]
+
+
+def test_errors_without_a_path_name_their_line():
+    with pytest.raises(InputError) as e:
+        parse("degree 7\n0 C 1\n")
+    assert str(e.value) == "line 2: condition takes exactly 'n m'"
+
+
 @pytest.mark.parametrize("text,msg,line", [
     ("0 H 1 1 0\n", "expected 'degree <d>' first", 1),
     ("degree x\n0 R\n", "degree must be an integer", 1),
@@ -87,6 +100,7 @@ def test_parse_skips_comments_and_blanks():
     ("", "empty proof script", 1),
     ("# all comments\n", "empty proof script", 1),
     ("degree 7\n", "no steps after the degree header", 1),
+    ("# c\n\ndegree 7\n", "no steps after the degree header", 3),
 ])
 def test_parse_rejections(text, msg, line):
     with pytest.raises(InputError, match=msg) as e:

@@ -1,6 +1,7 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
-every top-level definition of the package is used somewhere, and one
-reader turns input text into lines and integers."""
+every top-level definition of the package is used somewhere, a name
+that two modules share is public, and one reader turns input text into
+lines and integers."""
 
 import ast
 import glob
@@ -83,6 +84,23 @@ def test_every_package_definition_is_used():
     unused = sorted(f"{path}: {name}" for name, path in defined.items()
                     if name not in used)
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """`from .<module> import _name` means two modules share the name, so
+    it is public and loses its underscore; `from . import _module`
+    imports a whole module and stays allowed."""
+    private = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and \
+                    node.module:
+                private += [f"{os.path.relpath(path, ROOT)}:{node.lineno} "
+                            f"{alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_only_the_line_reader_splits_lines_and_reads_integers():
