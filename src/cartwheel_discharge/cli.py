@@ -187,14 +187,14 @@ def cmd_lint(args) -> int:
         else:
             for cfg in configs:
                 if radius_at_most_two(cfg) is None:
-                    note(args.configs, None,
+                    note(args.configs, cfg.line,
                          f"{cfg.name}: some vertex is more than two steps "
                          f"from every center")
                     continue
                 try:
                     build_good_configuration(cfg)
                 except InputError as e:
-                    note(args.configs, None, e.message)
+                    note(args.configs, cfg.line, e.message)
 
     for f in findings:
         print(f)

@@ -57,8 +57,9 @@ def _cut_vertices(adj, ids):
 
 
 class Configuration:
-    def __init__(self, name, gamma, rot, cyclic):
+    def __init__(self, name, gamma, rot, cyclic, line=None):
         self.name = name
+        self.line = line     # the 'config' line of a parsed record
         self.gamma = dict(gamma)
         self.rot = {v: list(ws) for v, ws in rot.items()}
         self.cyclic = dict(cyclic)
@@ -253,7 +254,7 @@ def parse_configurations(text, path=None):
                             f"config {name}: vertex {vid} lists unknown "
                             f"neighbor {u}", lineno, path)
             cyclic = {v: gamma[v] == len(rot[v]) for v in rot}
-            cfg = Configuration(name, gamma, rot, cyclic)
+            cfg = Configuration(name, gamma, rot, cyclic, start)
             try:
                 cfg.validate()
             except InputError as e:
@@ -548,9 +549,13 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
 
 
 def load_database(text, path=None):
-    configs = parse_configurations(text, path)
-    try:
-        return [build_good_configuration(c) for c in configs]
-    except InputError as e:
-        e.path = path
-        raise
+    db = []
+    for cfg in parse_configurations(text, path):
+        try:
+            db.append(build_good_configuration(cfg))
+        except InputError as e:
+            e.path = path
+            if e.line is None:
+                e.line = cfg.line
+            raise
+    return db

@@ -166,12 +166,20 @@ def check_symmetry_disposition(pool, k, eps, l, m, a):
     return contained
 
 
-def _make_reducer(db):
+def _make_reducer(db, placements):
+    """The reducer H steps escalate a forced overflow to.  It decides
+    each axle once; `placements` is the run's (d, hi) memo for
+    reducible, shared with its R steps."""
+    verdicts = {}
+
     def run(ax):
-        try:
-            return bool(reducible(ax, db, None))
-        except ReducibilityFailure:
-            return False
+        if ax not in verdicts:
+            try:
+                verdicts[ax] = bool(
+                    reducible(ax, db, None, placements=placements))
+            except ReducibilityFailure:
+                verdicts[ax] = False
+        return verdicts[ax]
     return run
 
 
@@ -186,7 +194,9 @@ def run_presentation(degree, lines, table, db, trace=None):
     frames = [(start, start)]
     pool = []
     report = RunReport(degree)
-    reducer = _make_reducer(db)
+    # both memos die with this run, so no verdict outlives its database
+    placements = {}
+    reducer = _make_reducer(db, placements)
 
     for ln in walk_levels(lines):
         level = ln.level
@@ -216,7 +226,7 @@ def run_presentation(degree, lines, table, db, trace=None):
         # disposition of the current branch
         try:
             if ln.kind == "R":
-                reducible(a, db, trace)
+                reducible(a, db, trace, placements=placements)
             elif ln.kind == "H":
                 check_hubcap(a, ln.payload, table, reducer, trace)
             else:

@@ -144,16 +144,27 @@ def semi_reducible(a: Axle, db, skel: Configuration = None):
     return None
 
 
-def reducible(a: Axle, db, trace=None) -> bool:
+def reducible(a: Axle, db, trace=None, *, placements=None) -> bool:
     """Every axle compatible with `a` must carry a good configuration.
     Work a stack of (axle, trail): a found placement at positions P
     spawns one child per p in P where the bounds still have slack,
     with the upper bound at p lowered by one.  An exhausted search
-    raises ReducibilityFailure naming the stuck axle and its trail."""
+    raises ReducibilityFailure naming the stuck axle and its trail.
+
+    `placements` maps (d, hi) to the semi_reducible answer on db: the
+    skeleton reads only d and hi, so axles that differ in lo alone
+    share it.  A caller that passes one dict to many calls on the same
+    db builds each skeleton once; by default it lives for this call."""
+    if placements is None:
+        placements = {}
     stack = [(a, ())]
     while stack:
         b, trail = stack.pop()
-        found = semi_reducible(b, db)
+        key = (b.d, b.hi)
+        if key in placements:
+            found = placements[key]
+        else:
+            found = placements[key] = semi_reducible(b, db)
         if found is None:
             if trace is not None:
                 trace.append(

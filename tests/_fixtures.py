@@ -78,6 +78,22 @@ degree 7
 # pair of adjacent 6-pins carries edge66 and reduces
 PRESENT_RULES_7 = "degree 7\n0 H 1 2 1 2 3 1 3 4 1 4 5 1 5 6 1 6 7 1 7 1 1\n"
 
+# a spoke of degree 5 or 6 sends the hub 1, so every triple below
+# overflows on spokes wedged into 5..6 and escalates an axle with
+# slack, whose decrement tree CONFIGS_SMALL closes.  The trees of the
+# R step and of the escalations ask for 54 skeletons of 34 distinct
+# upper-bound vectors, and each doubled triple escalates its axle twice.
+RULES_SLACK = "rule 5 6 5 12\n"
+PAIRED_TRIPLES_7 = "1 2 1 1 2 1 3 4 1 3 4 1 5 6 1 5 6 1 7 7 1"
+PRESENT_ESCALATE_7 = f"""\
+degree 7
+0 C 1 -6
+1 C 2 -6
+2 R
+1 H 1 2 1 2 3 1 3 4 1 4 5 1 5 6 1 6 7 1 7 1 1
+0 H {PAIRED_TRIPLES_7}
+"""
+
 CONFIGS_SMALL = """\
 config edge66 2
 v 1 6 : 2

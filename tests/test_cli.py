@@ -170,12 +170,17 @@ def test_rule_errors_name_the_rules_file_and_line(files, tmp_path, command):
 
 
 def test_configuration_errors_name_the_configurations_file(files, tmp_path):
-    confs = write(tmp_path, "bow.confs",
-                  CONFIG_BOWTIE.replace("v 1 6 :", "v 1 7 :"))
+    # the error names the file and the bad record's 'config' line
+    confs = write(tmp_path, "bow.confs", CONFIGS_SMALL
+                  + CONFIG_BOWTIE.replace("v 1 6 :", "v 1 7 :"))
+    line = CONFIGS_SMALL.count("\n") + 1
     code, _, err = run_cli(["verify", "-d", "7", "-r", files["rules_empty"],
                             "-p", files["zero"], "-c", confs])
-    assert (code, err) == (2, f"error: {confs}: bowtie: vertex 1 splits the "
-                              f"boundary but is labeled 7 with degree 4\n")
+    message = "bowtie: vertex 1 splits the boundary but is labeled 7 " \
+              "with degree 4"
+    assert (code, err) == (2, f"error: {confs}:{line}: {message}\n")
+    code, out, _ = run_cli(["lint", "-c", confs])
+    assert (code, out) == (1, f"{confs}:{line}: {message}\n")
 
 
 def test_verify_rejects_malformed_presentation(files, tmp_path):
@@ -363,8 +368,9 @@ def test_lint_and_verify_report_the_same_level_break(files, tmp_path, body,
 
 
 def test_lint_flags_config_radius(tmp_path):
-    confs = write(tmp_path, "far.confs", CONFIG_LONG_PATH)
+    confs = write(tmp_path, "far.confs", CONFIGS_SMALL + CONFIG_LONG_PATH)
+    line = CONFIGS_SMALL.count("\n") + 1
     code, out, _ = run_cli(["lint", "-c", confs])
     assert code == 1
-    assert out == (f"{confs}: longpath: some vertex is more than "
+    assert out == (f"{confs}:{line}: longpath: some vertex is more than "
                    f"two steps from every center\n")

@@ -4,15 +4,19 @@ import pytest
 
 from _fixtures import (
     CONFIGS_SMALL,
+    PAIRED_TRIPLES_7,
+    PRESENT_ESCALATE_7,
     PRESENT_EVICTED_7,
     PRESENT_REDUCE_7,
     PRESENT_REFLECT_7,
     PRESENT_RULES_7,
     PRESENT_SYMMETRY_7,
     PRESENT_ZERO_7,
+    RULES_SLACK,
     RULES_TINY,
     ZERO_TRIPLES_7,
 )
+from cartwheel_discharge import presentation, reducibility
 from cartwheel_discharge.axles import trivial_axle
 from cartwheel_discharge.configurations import load_database
 from cartwheel_discharge.errors import InputError, VerificationFailure
@@ -175,6 +179,59 @@ def test_run_rules_fixture(db):
     assert len(table) == 1
     report = run(PRESENT_RULES_7, table=table, db=db)
     assert report.dispositions == {"H": 1}
+
+
+def test_run_builds_each_skeleton_and_verdict_once(db, monkeypatch):
+    built = []
+    decided = []
+    asked = []
+    skeleton_of = reducibility.skeleton_of
+    reducible = presentation.reducible
+    make_reducer = presentation._make_reducer
+
+    def counting_skeleton_of(a):
+        built.append((a.d, a.hi))
+        return skeleton_of(a)
+
+    def counting_reducible(a, *args, **kw):
+        decided.append(a)
+        return reducible(a, *args, **kw)
+
+    def counting_make_reducer(*args):
+        reducer = make_reducer(*args)
+
+        def escalate(a):
+            asked.append(a)
+            return reducer(a)
+        return escalate
+
+    monkeypatch.setattr(reducibility, "skeleton_of", counting_skeleton_of)
+    monkeypatch.setattr(presentation, "reducible", counting_reducible)
+    monkeypatch.setattr(presentation, "_make_reducer", counting_make_reducer)
+    table = derive_outlets(parse_rules(RULES_SLACK), 7)
+    report = run(PRESENT_ESCALATE_7, table=table, db=db)
+    assert report.dispositions == {"R": 1, "H": 2}
+    # one build per distinct (d, hi) the R step and the escalations ask
+    # for, 34 in all (54 asks)
+    assert len(built) == len(set(built)) == 34
+    # the R step and each distinct escalated axle go to reducible once;
+    # the doubled triples escalate some axles twice
+    assert len(decided) == len(set(decided)) == 1 + len(set(asked))
+    assert len(asked) > len(set(asked))
+
+
+@pytest.mark.parametrize("text, line", [
+    (PRESENT_ESCALATE_7, 4),
+    (f"degree 7\n0 H {PAIRED_TRIPLES_7}\n", 2),
+], ids=["r-step", "escalation"])
+def test_no_verdict_outlives_its_run(db, text, line):
+    # both runs in one process: the first closes every branch, the
+    # second, without edge56 and dot5, must fail where it would alone
+    table = derive_outlets(parse_rules(RULES_SLACK), 7)
+    run(text, table=table, db=db)
+    with pytest.raises(VerificationFailure) as e:
+        run(text, table=table, db=db[:1])
+    assert e.value.line == line
 
 
 def test_run_flags_level_mismatch():

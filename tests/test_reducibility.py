@@ -1,11 +1,12 @@
 """Skeleton drawings, placement checks, and the reducibility loop."""
 
 import hashlib
+import random
 
 import pytest
 
-from _fixtures import CONFIGS_SMALL
-from cartwheel_discharge.axles import Axle, trivial_axle
+from _fixtures import CONFIGS_DB, CONFIGS_SMALL
+from cartwheel_discharge.axles import Axle, trivial_axle, validate_axle
 from cartwheel_discharge.configurations import load_database
 from cartwheel_discharge.errors import ReducibilityFailure
 from cartwheel_discharge.oracles import random_axle
@@ -86,6 +87,36 @@ def test_skeleton_drawings_keep_their_digest():
             h.update(repr(skel.triangles).encode())
     assert h.hexdigest() == (
         "128571de3150712f526a91c73ef8aae735d8327a1c7e0308220d7ce08cbd4312")
+
+
+def test_skeleton_and_placement_read_only_the_upper_bounds():
+    # the (d, hi) key of reducible's placement memo: raising lower
+    # bounds under the same upper bounds changes neither the drawing
+    # nor the first placement the database finds in it
+    db = load_database(CONFIGS_DB)
+    rng = random.Random("lo-only")
+    raised = placed = 0
+    for d in range(7, 12):
+        for s in range(40):
+            a = random_axle(d, s)
+            lo = bytearray(a.lo)
+            for p in range(1, 5 * d + 1):
+                spoke = (p - 1) % d + 1
+                if p > 2 * d and a.lo[spoke] < a.hi[spoke]:
+                    continue    # an open spoke's fans stay trivial
+                top = min(a.hi[p], 9)
+                if lo[p] < top and rng.random() < 0.5:
+                    lo[p] = rng.randint(lo[p] + 1, top)
+            b = Axle(d, bytes(lo), a.hi)
+            assert validate_axle(b) == []
+            raised += b.lo != a.lo
+            ka, kb = skeleton_of(a), skeleton_of(b)
+            for table in ("rot", "cyclic", "gamma", "third", "triangles"):
+                assert getattr(ka, table) == getattr(kb, table)
+            found = semi_reducible(a, db)
+            assert semi_reducible(b, db) == found
+            placed += found is not None
+    assert raised >= 190 and placed >= 150
 
 
 # ------------------------------------------------------------ placements

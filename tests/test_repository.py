@@ -1,7 +1,7 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
 every top-level definition of the package is used somewhere, a name
-that two modules share is public, and one reader turns input text into
-lines and integers."""
+that two modules share is public, one reader turns input text into
+lines and integers, and the package keeps no process-global cache."""
 
 import ast
 import glob
@@ -120,3 +120,32 @@ def test_only_the_line_reader_splits_lines_and_reads_integers():
                     (isinstance(f, ast.Name) and f.id == "int"):
                 calls.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
     assert calls == []
+
+
+PROCESS_CACHES = {"lru_cache", "cache"}
+
+
+def test_no_process_global_cache():
+    """A memo that outlives one run could hand a later run a stale
+    verdict, a false "verified".  So the package rebinds no module
+    global and uses no functools cache; a memo belongs to the run that
+    made it."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        where = os.path.relpath(path, ROOT)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{where}:{node.lineno} global")
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module == "functools":
+                found += [f"{where}:{node.lineno} {alias.name}"
+                          for alias in node.names
+                          if alias.name in PROCESS_CACHES]
+            elif isinstance(node, ast.Attribute) and \
+                    node.attr in PROCESS_CACHES and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == "functools":
+                found.append(f"{where}:{node.lineno} functools.{node.attr}")
+    assert found == []
