@@ -16,7 +16,7 @@ import sys
 import traceback
 
 from .configurations import (build_good_configuration, load_database,
-                             parse_configurations, radius_at_most_two)
+                             parse_configurations)
 from .errors import (InputError, InternalInvariantError, VerificationFailure,
                      records)
 from .hubcaps import check_h2, validate_hubcap
@@ -25,15 +25,28 @@ from .rules import (derive_outlets, diff_outlet_tables, format_outlet_table,
                     parse_outlet_table, parse_rules)
 
 
+@contextlib.contextmanager
+def _about(path):
+    """An InputError escaping the block that names no file is about
+    the file at path.  The CLI is the one place that names files: the
+    library names only lines."""
+    try:
+        yield
+    except InputError as e:
+        if e.path is None:
+            e.path = path
+        raise
+
+
 def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise InputError(str(e), path=path)
+        raise InputError(str(e))
     except UnicodeDecodeError as e:
         raise InputError(f"cannot decode byte {e.start} as UTF-8 "
-                         f"({e.reason})", path=path)
+                         f"({e.reason})")
 
 
 def _open_trace(wanted, degree):
@@ -68,19 +81,17 @@ def _emit_trace(trace, fh):
 
 
 def _outlets(path, degree):
-    """Outlet table of the rules file at path; its errors name the file."""
-    rules = parse_rules(_read(path), path)
-    try:
-        return derive_outlets(rules, degree)
-    except InputError as e:
-        e.path = path
-        raise
+    """Outlet table of the rules file at path."""
+    with _about(path):
+        return derive_outlets(parse_rules(_read(path)), degree)
 
 
 def _golden_mismatch(table, path):
     """Print how the derived outlet table differs from the golden table
     at path; True when it does."""
-    diffs = diff_outlet_tables(table, parse_outlet_table(_read(path), path))
+    with _about(path):
+        golden = parse_outlet_table(_read(path))
+    diffs = diff_outlet_tables(table, golden)
     for line in diffs:
         print(line)
     if diffs:
@@ -94,27 +105,25 @@ def cmd_verify(args) -> int:
     table = _outlets(args.rules, args.degree)
     if args.golden and _golden_mismatch(table, args.golden):
         return 1
-    db = load_database(_read(args.configs), args.configs)
-    text = _read(args.presentation)
-    degree, lines = parse_presentation(text, args.presentation)
-    if degree != args.degree:
-        head, _ = next(records(text))
-        raise InputError(
-            f"presentation is for degree {degree}, requested {args.degree}",
-            head, args.presentation)
-    trace = [] if args.trace else None
-    failure = None
-    with _open_trace(args.trace, degree) as fh:
-        try:
-            report = run_presentation(degree, lines, table, db, trace=trace)
-        except VerificationFailure as e:
-            failure = e
-        except InputError as e:
-            if e.path is None:
-                e.path = args.presentation
-            raise
-        if trace is not None:
-            _emit_trace(trace, fh)
+    with _about(args.configs):
+        db = load_database(_read(args.configs))
+    with _about(args.presentation):
+        text = _read(args.presentation)
+        degree, lines = parse_presentation(text)
+        if degree != args.degree:
+            head, _ = next(records(text))
+            raise InputError(f"presentation is for degree {degree}, "
+                             f"requested {args.degree}", head)
+        trace = [] if args.trace else None
+        failure = None
+        with _open_trace(args.trace, degree) as fh:
+            try:
+                report = run_presentation(degree, lines, table, db,
+                                          trace=trace)
+            except VerificationFailure as e:
+                failure = e
+            if trace is not None:
+                _emit_trace(trace, fh)
     if failure is not None:
         raise failure
     disp = " ".join(f"{k}={v}" for k, v in sorted(report.dispositions.items()))
@@ -144,57 +153,45 @@ def cmd_lint(args) -> int:
         raise InputError("nothing to lint: pass -r, -p, or -c")
     findings = []
 
-    def note(path, line, msg):
-        where = path if line is None else f"{path}:{line}"
-        findings.append(f"{where}: {msg}")
+    @contextlib.contextmanager
+    def finding(path, line=None):
+        """An InputError escaping the block is a finding about path,
+        at line when it names none."""
+        try:
+            with _about(path):
+                yield
+        except InputError as e:
+            if e.line is None:
+                e.line = line
+            findings.append(str(e))
 
     if args.rules:
-        try:
-            rules = parse_rules(_read(args.rules), args.rules)
+        with finding(args.rules):
+            rules = parse_rules(_read(args.rules))
             for d in range(5, 12):
                 derive_outlets(rules, d)
-        except InputError as e:
-            note(args.rules, e.line, e.message)
 
     if args.presentation:
-        try:
-            degree, lines = parse_presentation(_read(args.presentation),
-                                               args.presentation)
-        except InputError as e:
-            note(args.presentation, e.line, e.message)
-        else:
-            try:
-                for _ in walk_levels(lines):
-                    pass
-            except InputError as e:
-                note(args.presentation, e.line, e.message)
-            for ln in lines:
-                if ln.kind != "H":
-                    continue
-                try:
+        lines = []
+        with finding(args.presentation):
+            degree, lines = parse_presentation(_read(args.presentation))
+            for _ in walk_levels(lines):
+                pass
+        for ln in lines:
+            if ln.kind == "H":
+                with finding(args.presentation, ln.no):
                     mult = validate_hubcap(ln.payload, degree)
                     if not check_h2(ln.payload, mult, degree):
-                        note(args.presentation, ln.no,
-                             "hubcap sum fails the closing inequality")
-                except InputError as e:
-                    note(args.presentation, ln.no, e.message)
+                        raise InputError(
+                            "hubcap sum fails the closing inequality")
 
     if args.configs:
-        try:
-            configs = parse_configurations(_read(args.configs), args.configs)
-        except InputError as e:
-            note(args.configs, e.line, e.message)
-        else:
-            for cfg in configs:
-                if radius_at_most_two(cfg) is None:
-                    note(args.configs, cfg.line,
-                         f"{cfg.name}: some vertex is more than two steps "
-                         f"from every center")
-                    continue
-                try:
-                    build_good_configuration(cfg)
-                except InputError as e:
-                    note(args.configs, cfg.line, e.message)
+        configs = []
+        with finding(args.configs):
+            configs = parse_configurations(_read(args.configs))
+        for cfg in configs:
+            with finding(args.configs):
+                build_good_configuration(cfg)
 
     for f in findings:
         print(f)

@@ -148,7 +148,7 @@ class Configuration:
         self._triangulate()
         return self
 
-    def validate(self, strict_gamma=True):
+    def validate(self):
         """Check the drawing and cache adjacency, triangles, and the
         outer walk.  Raises InputError on any defect."""
         name = self.name
@@ -172,22 +172,21 @@ class Configuration:
         for (u, v), flag in opens.items():
             if flag:
                 opens_at[v] += 1
-        if strict_gamma:
-            for v in self.ids:
-                g = self.gamma[v]
-                deg = len(self.rot[v])
-                if g is None:
-                    if opens_at[v] == 0:
-                        raise InputError(
-                            f"{name}: unlabeled vertex {v} is interior")
-                    continue
-                if g < deg:
+        for v in self.ids:
+            g = self.gamma[v]
+            deg = len(self.rot[v])
+            if g is None:
+                if opens_at[v] == 0:
                     raise InputError(
-                        f"{name}: vertex {v} labeled {g} below its degree {deg}")
-                if (g == deg) != (opens_at[v] == 0):
-                    raise InputError(
-                        f"{name}: vertex {v} labeled {g} does not match its "
-                        f"boundary status")
+                        f"{name}: unlabeled vertex {v} is interior")
+                continue
+            if g < deg:
+                raise InputError(
+                    f"{name}: vertex {v} labeled {g} below its degree {deg}")
+            if (g == deg) != (opens_at[v] == 0):
+                raise InputError(
+                    f"{name}: vertex {v} labeled {g} does not match its "
+                    f"boundary status")
         return self
 
 
@@ -199,7 +198,7 @@ def restrict_drawing(rot, cyclic, keep):
     return new_rot, new_cyc
 
 
-def parse_configurations(text, path=None):
+def parse_configurations(text):
     configs = []
     name = None
     want = 0
@@ -210,63 +209,62 @@ def parse_configurations(text, path=None):
         if parts[0] == "config":
             if name is not None:
                 raise InputError(f"config {name!r} not closed with 'end'",
-                                 lineno, path)
+                                 lineno)
             if len(parts) != 3:
                 raise InputError("expected 'config <name> <nVertices>'",
-                                 lineno, path)
+                                 lineno)
             want, = integers(parts[2:], "vertex count must be an integer",
-                             lineno, path)
+                             lineno)
             name = parts[1]
             start = lineno
             gamma = {}
             rot = {}
         elif parts[0] == "v":
             if name is None:
-                raise InputError("vertex line outside a config record",
-                                 lineno, path)
+                raise InputError("vertex line outside a config record", lineno)
             if len(parts) < 4 or parts[3] != ":":
                 raise InputError("expected 'v <id> <gamma> : <neighbors>'",
-                                 lineno, path)
+                                 lineno)
             vid, g, *neigh = integers(parts[1:3] + parts[4:],
                                       "non-integer field in vertex line",
-                                      lineno, path)
+                                      lineno)
             if vid in rot:
-                raise InputError(f"vertex {vid} listed twice", lineno, path)
+                raise InputError(f"vertex {vid} listed twice", lineno)
             if g > 11:
                 raise InputError(
                     f"vertex {vid} labeled {g}; labels above 11 are rejected",
-                    lineno, path)
+                    lineno)
             if g < 1:
-                raise InputError(f"vertex {vid} labeled {g}", lineno, path)
+                raise InputError(f"vertex {vid} labeled {g}", lineno)
             gamma[vid] = g
             rot[vid] = neigh
         elif parts[0] == "end":
             if name is None:
-                raise InputError("'end' outside a config record", lineno, path)
+                raise InputError("'end' outside a config record", lineno)
             if len(rot) != want:
                 raise InputError(
                     f"config {name} declares {want} vertices, lists {len(rot)}",
-                    lineno, path)
+                    lineno)
             for vid, neigh in rot.items():
                 for u in neigh:
                     if u not in rot:
                         raise InputError(
                             f"config {name}: vertex {vid} lists unknown "
-                            f"neighbor {u}", lineno, path)
+                            f"neighbor {u}", lineno)
             cyclic = {v: gamma[v] == len(rot[v]) for v in rot}
             cfg = Configuration(name, gamma, rot, cyclic, start)
             try:
                 cfg.validate()
             except InputError as e:
-                raise InputError(e.message, start, path)
+                raise InputError(e.message, start)
             configs.append(cfg)
             name = None
         else:
-            raise InputError(f"unexpected {parts[0]!r}", lineno, path)
+            raise InputError(f"unexpected {parts[0]!r}", lineno)
     if name is not None:
         lines = split_lines(text)
         last = len(lines) - (lines[-1] == "")
-        raise InputError(f"config {name!r} not closed with 'end'", last, path)
+        raise InputError(f"config {name!r} not closed with 'end'", last)
     return configs
 
 
@@ -337,8 +335,6 @@ def free_completion(cfg: Configuration):
             raise InputError(
                 f"{cfg.name}: vertex {v} touches the infinite region "
                 f"{hits[v]} times")
-        if k < 1:
-            raise InputError(f"{cfg.name}: vertex {v} has no room for a ring")
         ks.append(k)
     m = sum(k - 1 for k in ks)
     if m < 3:
@@ -536,11 +532,18 @@ class GoodConfiguration:
 
 
 def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
-    if radius_at_most_two(cfg) is None:
-        raise InputError(f"{cfg.name}: radius exceeds two")
-    l0, ring = free_completion(cfg)
-    j, extra = enhance(cfg, l0, ring)
-    q = make_question(cfg, j, extra)
+    """Complete, enhance and probe cfg; an InputError names cfg's
+    'config' line when it names none."""
+    try:
+        if radius_at_most_two(cfg) is None:
+            raise InputError(f"{cfg.name}: radius exceeds two")
+        l0, ring = free_completion(cfg)
+        j, extra = enhance(cfg, l0, ring)
+        q = make_question(cfg, j, extra)
+    except InputError as e:
+        if e.line is None:
+            e.line = cfg.line
+        raise
     probs = question_problems(q, cfg, j, extra)
     if probs:
         raise InternalInvariantError(
@@ -548,14 +551,6 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
     return GoodConfiguration(cfg, l0, ring, j, extra, q, reflect_question(q))
 
 
-def load_database(text, path=None):
-    db = []
-    for cfg in parse_configurations(text, path):
-        try:
-            db.append(build_good_configuration(cfg))
-        except InputError as e:
-            e.path = path
-            if e.line is None:
-                e.line = cfg.line
-            raise
-    return db
+def load_database(text):
+    return [build_good_configuration(cfg)
+            for cfg in parse_configurations(text)]

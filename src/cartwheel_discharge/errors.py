@@ -10,8 +10,9 @@ from __future__ import annotations
 class CartwheelError(Exception):
     """Base class for every error this package raises deliberately.
 
-    Carries the message and, when known, the 1-based line and the path
-    of the file it concerns, so the CLI can point at the offending line.
+    Carries the message and, when known, the 1-based line.  The library
+    reads text, not files, so it names lines only; the CLI sets `path`
+    to the file the error is about before it prints the error.
     """
 
     def __init__(self, message: str, line: int | None = None,
@@ -51,9 +52,9 @@ def records(text):
             yield no, fields
 
 
-def integers(fields, message, line, path):
+def integers(fields, message, line):
     """The fields as ints, each an optional '-' followed by ASCII
-    digits; anything else raises InputError(message, line, path)."""
+    digits; anything else raises InputError(message, line)."""
     # on fields free of whitespace, as records gives them, int() takes
     # just those once '+', '_' and non-ASCII digits are ruled out
     text = "".join(fields)
@@ -62,7 +63,7 @@ def integers(fields, message, line, path):
             return list(map(int, fields))
         except ValueError:
             pass
-    raise InputError(message, line, path)
+    raise InputError(message, line)
 
 
 class VerificationFailure(CartwheelError):

@@ -48,7 +48,7 @@ class RunReport:
     pool_peak: int = 0
 
 
-def parse_presentation(text, path=None):
+def parse_presentation(text):
     """Returns (degree, lines).  Syntax only; walk_levels holds the
     steps to the level discipline."""
     degree = None
@@ -56,62 +56,59 @@ def parse_presentation(text, path=None):
     for no, parts in records(text):
         if degree is None:
             if parts[0] != "degree" or len(parts) != 2:
-                raise InputError("expected 'degree <d>' first", no, path)
-            degree, = integers(parts[1:], "degree must be an integer", no,
-                               path)
+                raise InputError("expected 'degree <d>' first", no)
+            degree, = integers(parts[1:], "degree must be an integer", no)
             if not 5 <= degree <= 11:
-                raise InputError(f"degree {degree} out of range 5..11", no, path)
+                raise InputError(f"degree {degree} out of range 5..11", no)
             head = no
             continue
-        level, = integers(parts[:1], "line must start with its level", no,
-                          path)
+        level, = integers(parts[:1], "line must start with its level", no)
         if level < 0:
-            raise InputError("negative level", no, path)
+            raise InputError("negative level", no)
         if len(parts) < 2:
-            raise InputError("missing step tag", no, path)
+            raise InputError("missing step tag", no)
         kind = parts[1]
         args = parts[2:]
         if kind == "C":
             if len(args) != 2:
-                raise InputError("condition takes exactly 'n m'", no, path)
-            n, m = integers(args, "non-integer field", no, path)
+                raise InputError("condition takes exactly 'n m'", no)
+            n, m = integers(args, "non-integer field", no)
             if not 1 <= n <= 5 * degree:
                 raise InputError(f"position {n} out of range 1..{5 * degree}",
-                                 no, path)
+                                 no)
             if m not in CONDITION_VALUES:
-                raise InputError(f"condition value {m} not allowed", no, path)
+                raise InputError(f"condition value {m} not allowed", no)
             payload = (n, m)
         elif kind == "R":
             if args:
-                raise InputError("reducibility step takes no arguments", no, path)
+                raise InputError("reducibility step takes no arguments", no)
             payload = ()
         elif kind == "H":
-            vals = integers(args, "non-integer field", no, path)
+            vals = integers(args, "non-integer field", no)
             if not vals or len(vals) % 3:
-                raise InputError("bound step takes (x y v) triples", no, path)
+                raise InputError("bound step takes (x y v) triples", no)
             payload = tuple(tuple(vals[t:t + 3]) for t in range(0, len(vals), 3))
         elif kind == "S":
             if len(args) != 4:
-                raise InputError("symmetry step takes 'k eps l m'", no, path)
-            k, eps, l, m = integers(args, "non-integer field", no, path)
+                raise InputError("symmetry step takes 'k eps l m'", no)
+            k, eps, l, m = integers(args, "non-integer field", no)
             if not 0 <= k < degree:
                 raise InputError(f"rotation {k} out of range 0..{degree - 1}",
-                                 no, path)
+                                 no)
             if eps not in (0, 1):
-                raise InputError("reflection flag must be 0 or 1", no, path)
+                raise InputError("reflection flag must be 0 or 1", no)
             if l < 0:
-                raise InputError("negative referenced level", no, path)
+                raise InputError("negative referenced level", no)
             if m < 2:
-                raise InputError("referenced line must follow the header",
-                                 no, path)
+                raise InputError("referenced line must follow the header", no)
             payload = (k, eps, l, m)
         else:
-            raise InputError(f"unknown step tag {kind!r}", no, path)
+            raise InputError(f"unknown step tag {kind!r}", no)
         lines.append(PresentationLine(no, level, kind, payload))
     if degree is None:
-        raise InputError("empty proof script", 1, path)
+        raise InputError("empty proof script", 1)
     if not lines:
-        raise InputError("no steps after the degree header", head, path)
+        raise InputError("no steps after the degree header", head)
     return degree, lines
 
 

@@ -122,13 +122,12 @@ def _positive_answers(question, skel: Configuration):
                 yield f
 
 
-def semi_reducible(a: Axle, db, skel: Configuration = None):
+def semi_reducible(a: Axle, db):
     """First good configuration appearing well-positioned in the
     skeleton of `a`, with its placement, or None.  For hub degree at
     least 6 an appearance must survive the independent isomorphism
     check; a miss there means the machinery itself is broken."""
-    if skel is None:
-        skel = skeleton_of(a)
+    skel = skeleton_of(a)
     for gc in db:
         for question in (gc.question, gc.reflection):
             for f in _positive_answers(question, skel):

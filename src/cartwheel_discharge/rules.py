@@ -78,29 +78,29 @@ class DerivedOutlet:
     outlet: Outlet
 
 
-def parse_rules(text, path=None):
+def parse_rules(text):
     """Parse a rules file into RuleSpecs, in file order."""
     rules = []
     for lineno, parts in records(text):
         if parts[0] != "rule":
-            raise InputError(f"expected 'rule', got {parts[0]!r}", lineno, path)
-        nums = integers(parts[1:], "non-integer field in rule", lineno, path)
+            raise InputError(f"expected 'rule', got {parts[0]!r}", lineno)
+        nums = integers(parts[1:], "non-integer field in rule", lineno)
         if len(nums) < 4 or (len(nums) - 4) % 3 != 0:
             raise InputError("rule needs 4 bounds plus (index lo hi) triples",
-                             lineno, path)
+                             lineno)
         bounds = [(0, nums[0], nums[1]), (1, nums[2], nums[3])]
         for t in range(4, len(nums), 3):
             bounds.append((nums[t], nums[t + 1], nums[t + 2]))
         seen = set()
         for s, b, e in bounds:
             if s in seen:
-                raise InputError(f"duplicate vertex index {s}", lineno, path)
+                raise InputError(f"duplicate vertex index {s}", lineno)
             seen.add(s)
             if s not in (0, 1) and s not in RULE_PARENTS:
-                raise InputError(f"vertex index {s} outside 2..16", lineno, path)
+                raise InputError(f"vertex index {s} outside 2..16", lineno)
             if not 5 <= b <= e <= 12:
                 raise InputError(f"bounds ({b},{e}) for v{s} violate 5<=lo<=hi<=12",
-                                 lineno, path)
+                                 lineno)
         for s in seen:
             if s in (0, 1):
                 continue
@@ -108,7 +108,7 @@ def parse_rules(text, path=None):
                 if parent not in seen:
                     raise InputError(
                         f"vertex {s} listed but its parent {parent} is absent",
-                        lineno, path)
+                        lineno)
         rules.append(RuleSpec(tuple(bounds), lineno))
     return rules
 
@@ -308,21 +308,19 @@ def format_outlet_table(table):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_outlet_table(text, path=None):
+def parse_outlet_table(text):
     table = []
     for lineno, parts in records(text):
         if parts[0] != "outlet" or len(parts) < 4:
             raise InputError("expected 'outlet <rule> <T|T'> <value> ...'",
-                             lineno, path)
+                             lineno)
         if parts[2] not in ("T", "T'"):
-            raise InputError(f"kind must be T or T', got {parts[2]!r}",
-                             lineno, path)
+            raise InputError(f"kind must be T or T', got {parts[2]!r}", lineno)
         index, value, *nums = integers(
-            parts[1:2] + parts[3:], "non-integer field in outlet line",
-            lineno, path)
+            parts[1:2] + parts[3:], "non-integer field in outlet line", lineno)
         if len(nums) % 3 != 0:
             raise InputError("outlet entries must be (pos lo hi) triples",
-                             lineno, path)
+                             lineno)
         entries = tuple(
             (nums[t], nums[t + 1], nums[t + 2]) for t in range(0, len(nums), 3))
         table.append(DerivedOutlet(index, parts[2], Outlet(value, entries)))

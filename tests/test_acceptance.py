@@ -244,7 +244,7 @@ def test_placement_search_matches_the_exhaustive_oracle():
             for gc in families:
                 wanted = [f for f, wp
                           in brute_force_subconfig(gc.config, skel) if wp]
-                got = semi_reducible(a, [gc], skel)
+                got = semi_reducible(a, [gc])
                 if got is None:
                     assert wanted == [], (a, gc.name)
                 else:

@@ -367,10 +367,13 @@ def test_lint_and_verify_report_the_same_level_break(files, tmp_path, body,
     assert (code, out, err) == (2, "", f"error: {pres}:{line}: {message}\n")
 
 
-def test_lint_flags_config_radius(tmp_path):
+def test_lint_flags_config_radius(files, tmp_path):
+    # lint -c and verify report the defect alike
     confs = write(tmp_path, "far.confs", CONFIGS_SMALL + CONFIG_LONG_PATH)
     line = CONFIGS_SMALL.count("\n") + 1
+    message = f"{confs}:{line}: longpath: radius exceeds two"
     code, out, _ = run_cli(["lint", "-c", confs])
-    assert code == 1
-    assert out == (f"{confs}:{line}: longpath: some vertex is more than "
-                   f"two steps from every center\n")
+    assert (code, out) == (1, message + "\n")
+    code, _, err = run_cli(["verify", "-d", "7", "-r", files["rules_empty"],
+                            "-p", files["zero"], "-c", confs])
+    assert (code, err) == (2, f"error: {message}\n")

@@ -258,15 +258,6 @@ def test_completion_rejects_bad_boundary_split():
         free_completion(cfg)
 
 
-def test_completion_rejects_full_vertex():
-    cfg = Configuration("tight", {1: 6, 2: 6, 3: 2},
-                        {1: [2, 3], 2: [3, 1], 3: [1, 2]},
-                        {1: False, 2: False, 3: False})
-    cfg.validate(strict_gamma=False)
-    with pytest.raises(InputError, match="no room for a ring"):
-        free_completion(cfg)
-
-
 def test_completion_rejects_short_ring():
     cfg = parse_one("config edge33 2\nv 1 3 : 2\nv 2 3 : 1\nend\n")
     with pytest.raises(InputError, match="ring of 2 vertices"):

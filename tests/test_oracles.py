@@ -188,7 +188,7 @@ def test_semi_reducible_matches_the_oracle(db):
         for gc in db:
             wanted = [f for f, wp in brute_force_subconfig(gc.config, skel)
                       if wp]
-            got = semi_reducible(a, [gc], skel)
+            got = semi_reducible(a, [gc])
             if got is None:
                 assert wanted == [], (a, gc.name)
             else:

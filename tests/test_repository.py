@@ -1,7 +1,8 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
 every top-level definition of the package is used somewhere, a name
 that two modules share is public, one reader turns input text into
-lines and integers, and the package keeps no process-global cache."""
+lines and integers, the package keeps no process-global cache, and
+only the CLI names the file an error is about."""
 
 import ast
 import glob
@@ -148,4 +149,58 @@ def test_no_process_global_cache():
                     isinstance(node.value, ast.Name) and \
                     node.value.id == "functools":
                 found.append(f"{where}:{node.lineno} functools.{node.attr}")
+    assert found == []
+
+
+def _path_slots():
+    """Each CartwheelError class of errors.py mapped to the positional
+    index of the `path` parameter its __init__ takes, or None when it
+    takes none."""
+    with open(os.path.join(PACKAGE, "errors.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    classes = {c.name: c for c in tree.body if isinstance(c, ast.ClassDef)}
+
+    def slot(name):
+        for f in classes[name].body:
+            if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                params = [a.arg for a in f.args.args[1:]]
+                return params.index("path") if "path" in params else None
+        return slot(classes[name].bases[0].id)
+
+    def is_error(name):
+        return name == "CartwheelError" or name in classes and any(
+            isinstance(b, ast.Name) and is_error(b.id)
+            for b in classes[name].bases)
+
+    return {name: slot(name) for name in classes if is_error(name)}
+
+
+def test_only_the_cli_names_files():
+    """Parsers and the engine name lines; which file an error is about
+    is decided in cli.py alone.  So no other module hands an error a
+    path or sets one on it afterwards."""
+    slots = _path_slots()
+    assert slots["InputError"] == 2
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        if os.path.basename(path) == "cli.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        where = os.path.relpath(path, ROOT)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if name in slots and (
+                        any(k.arg == "path" for k in node.keywords) or
+                        slots[name] is not None and
+                        len(node.args) > slots[name]):
+                    found.append(f"{where}:{node.lineno} {name} given a path")
+            elif isinstance(node, ast.Attribute) and node.attr == "path" and \
+                    isinstance(node.ctx, ast.Store) and \
+                    not (isinstance(node.value, ast.Name) and
+                         node.value.id == "self"):
+                found.append(f"{where}:{node.lineno} sets .path")
     assert found == []
