@@ -246,41 +246,6 @@ def is_fan_free(a: Axle) -> bool:
     return True
 
 
-def rotate_axle(a: Axle) -> Axle:
-    """One-step clockwise rotation; fan-free axles only."""
-    if not is_fan_free(a):
-        raise InputError("rotate requires a fan-free axle")
-    d = a.d
-    lo = bytearray(a.lo)
-    hi = bytearray(a.hi)
-    for i in range(1, 2 * d + 1):
-        j = pos_add(i, 1, d)
-        lo[j] = a.lo[i]
-        hi[j] = a.hi[i]
-    return Axle(d, bytes(lo), bytes(hi))
-
-
-def reflect_axle(a: Axle) -> Axle:
-    """Mirror image; fan-free axles only.
-
-    Spoke i takes the old entry d+1-i; hat d+i (for i < d) takes the
-    old entry 3d-i, so the hats between swapped spoke pairs swap too.
-    Entry 2d is its own mirror.
-    """
-    if not is_fan_free(a):
-        raise InputError("reflect requires a fan-free axle")
-    d = a.d
-    lo = bytearray(a.lo)
-    hi = bytearray(a.hi)
-    for i in range(1, d + 1):
-        lo[i] = a.lo[d + 1 - i]
-        hi[i] = a.hi[d + 1 - i]
-    for n in range(d + 1, 2 * d):
-        lo[n] = a.lo[3 * d - n]
-        hi[n] = a.hi[3 * d - n]
-    return Axle(d, bytes(lo), bytes(hi))
-
-
 def symmetry_permutation(k: int, eps: int, d: int):
     """Position map of rotate^k after optional reflect, on 0..2d.
 

@@ -19,7 +19,7 @@ from .configurations import (build_good_configuration, load_database,
                              parse_configurations)
 from .errors import (InputError, InternalInvariantError, VerificationFailure,
                      records)
-from .hubcaps import check_h2, validate_hubcap
+from .hubcaps import check_hubcap_sum
 from .presentation import parse_presentation, run_presentation, walk_levels
 from .rules import (derive_outlets, diff_outlet_tables, format_outlet_table,
                     parse_outlet_table, parse_rules)
@@ -155,12 +155,13 @@ def cmd_lint(args) -> int:
 
     @contextlib.contextmanager
     def finding(path, line=None):
-        """An InputError escaping the block is a finding about path,
-        at line when it names none."""
+        """An InputError or VerificationFailure escaping the block is a
+        finding about path, at line when it names none."""
         try:
-            with _about(path):
-                yield
-        except InputError as e:
+            yield
+        except (InputError, VerificationFailure) as e:
+            if e.path is None:
+                e.path = path
             if e.line is None:
                 e.line = line
             findings.append(str(e))
@@ -180,10 +181,7 @@ def cmd_lint(args) -> int:
         for ln in lines:
             if ln.kind == "H":
                 with finding(args.presentation, ln.no):
-                    mult = validate_hubcap(ln.payload, degree)
-                    if not check_h2(ln.payload, mult, degree):
-                        raise InputError(
-                            "hubcap sum fails the closing inequality")
+                    check_hubcap_sum(ln.payload, degree)
 
     if args.configs:
         configs = []

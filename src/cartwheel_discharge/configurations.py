@@ -111,7 +111,7 @@ class Configuration:
                     raise InputError(f"{name}: edge {v}-{u} is one-sided")
         self.adj = adj
         # rot, not adj: lists iterate faster than frozensets, and
-        # skeleton_of validates at every decrement-tree node
+        # a run validates one skeleton per distinct (d, hi) it meets
         if len(_reach(self.rot, self.ids[0])) != len(self.ids):
             raise InputError(f"{name}: drawing is not connected")
 
@@ -280,11 +280,6 @@ def centers(cfg: Configuration):
     return out
 
 
-def radius_at_most_two(cfg: Configuration):
-    cs = centers(cfg)
-    return cs[0] if cs else None
-
-
 def free_completion(cfg: Configuration):
     """Extend the drawing by a surrounding ring so every labeled
     vertex reaches its labeled degree.  Returns (completion, ring)."""
@@ -449,7 +444,7 @@ def make_question(cfg: Configuration, jcfg: Configuration, extra):
     gam = cfg.gamma
     cs = centers(cfg)
     if not cs:
-        raise InputError(f"{cfg.name}: no vertex reaches everything in two steps")
+        raise InputError(f"{cfg.name}: radius exceeds two")
     z0 = min(cs, key=lambda v: (-gam[v], v))
     if len(cfg.ids) == 1:
         if extra is None:
@@ -535,7 +530,7 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
     """Complete, enhance and probe cfg; an InputError names cfg's
     'config' line when it names none."""
     try:
-        if radius_at_most_two(cfg) is None:
+        if not centers(cfg):
             raise InputError(f"{cfg.name}: radius exceeds two")
         l0, ring = free_completion(cfg)
         j, extra = enhance(cfg, l0, ring)

@@ -54,6 +54,17 @@ def check_h2(triples, mult, d) -> bool:
     return 10 * (6 - d) + total // 2 <= 0
 
 
+def check_hubcap_sum(triples, d):
+    """The checks a hubcap passes before any bound search: coverage
+    (InputError), then the closing inequality (VerificationFailure).
+    `verify` and `lint` both run these, so a defect reads alike."""
+    mult = validate_hubcap(triples, d)
+    if not check_h2(triples, mult, d):
+        total = sum(v * m for (_, _, v), m in zip(triples, mult))
+        raise VerificationFailure(
+            f"hubcap sum {total} fails 10(6-{d}) + floor(sum/2) <= 0")
+
+
 @dataclass
 class BoundContext:
     """One bound certification task: the fixed positioned-outlet list
@@ -158,12 +169,7 @@ def check_hubcap(a: Axle, triples, table, reducer, trace=None):
     """Verify every triple's bound, in order, and the closing
     inequality.  A triple's trace lines are kept only once every
     triple has passed."""
-    d = a.d
-    mult = validate_hubcap(triples, d)
-    if not check_h2(triples, mult, d):
-        total = sum(v * m for (_, _, v), m in zip(triples, mult))
-        raise VerificationFailure(
-            f"hubcap sum {total} fails 10(6-{d}) + floor(sum/2) <= 0")
+    check_hubcap_sum(triples, a.d)
     lines = [] if trace is not None else None
     for x, y, v in triples:
         if lines is not None:

@@ -200,6 +200,41 @@ def brute_force_subconfig(lcfg, skel):
     return out
 
 
+# ------------------------------------------------------------ symmetries
+
+def _fan_free_bounds(a: Axle, what):
+    d = a.d
+    if any((a.lo[n], a.hi[n]) != (5, 12) for n in range(2 * d + 1, 5 * d + 1)):
+        raise InputError(f"{what} requires a fan-free axle")
+    return bytearray(a.lo), bytearray(a.hi)
+
+
+def rotate_axle(a: Axle) -> Axle:
+    """One-step clockwise rotation: spoke i moves to spoke i+1 and hat
+    d+i to hat d+i+1, both wrapping at d; fan-free axles only.  The
+    reference for symmetry_permutation."""
+    d = a.d
+    lo, hi = _fan_free_bounds(a, "rotate")
+    for i in range(1, d + 1):
+        for band in (0, d):
+            lo[band + i % d + 1] = a.lo[band + i]
+            hi[band + i % d + 1] = a.hi[band + i]
+    return Axle(d, bytes(lo), bytes(hi))
+
+
+def reflect_axle(a: Axle) -> Axle:
+    """Mirror image; fan-free axles only.  Spoke i takes the old entry
+    d+1-i; hat d+i (for i < d) takes the old entry 2d-i, so the hats
+    between swapped spoke pairs swap too.  Hat 2d is its own mirror."""
+    d = a.d
+    lo, hi = _fan_free_bounds(a, "reflect")
+    for i in range(1, d + 1):
+        lo[i], hi[i] = a.lo[d + 1 - i], a.hi[d + 1 - i]
+    for i in range(1, d):
+        lo[d + i], hi[d + i] = a.lo[2 * d - i], a.hi[2 * d - i]
+    return Axle(d, bytes(lo), bytes(hi))
+
+
 # ------------------------------------------------------------ instances
 
 def random_axle(d, seed) -> Axle:

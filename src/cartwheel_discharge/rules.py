@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernels
-from .axles import Axle, band_of, fan_row, is_fan_free, spoke_of, trivial_axle
+from .axles import Axle, band_of, fan_row, is_fan_free, spoke_of
 from .errors import InputError, integers, records
 
 RULE_PARENTS = {
@@ -29,11 +29,6 @@ RULE_PARENTS = {
     7: (1, 3), 8: (4, 2), 9: (3, 5), 10: (8, 2), 11: (3, 9),
     12: (0, 4), 13: (0, 12), 14: (5, 0), 15: (6, 1), 16: (15, 1),
 }
-
-# Mirror image of a rule: these template slots swap under reflection,
-# all others are fixed.
-MIRROR_SLOTS = {2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6, 8: 9, 9: 8,
-                10: 11, 11: 10, 12: 14, 14: 12}
 
 
 @dataclass(frozen=True)
@@ -111,12 +106,6 @@ def parse_rules(text):
                         lineno)
         rules.append(RuleSpec(tuple(bounds), lineno))
     return rules
-
-
-def mirror_rule_spec(spec: RuleSpec) -> RuleSpec:
-    bounds = sorted((MIRROR_SLOTS.get(s, s), b, e) for s, b, e in spec.bounds)
-    # keep v0, v1 first, then ascending
-    return RuleSpec(tuple(bounds), spec.line)
 
 
 def cartwheel_rotation(p, pins, d):
@@ -282,21 +271,6 @@ def outlet_from_axle(b: Axle) -> Outlet:
         if (b.lo[n], b.hi[n]) != (5, 12):
             entries.append((n, b.lo[n], b.hi[n]))
     return Outlet(1, tuple(entries))
-
-
-def axle_from_outlet(outlet: Outlet, d) -> Axle:
-    if outlet.value != 1:
-        raise InputError("only value +1 outlets correspond to axles")
-    bad = [v for v in validate_outlet(outlet, d) if v[0] != "value"]
-    if bad:
-        raise InputError(f"outlet does not validate: {bad}")
-    a = trivial_axle(d)
-    lo = bytearray(a.lo)
-    hi = bytearray(a.hi)
-    for p, l, u in outlet.entries:
-        lo[p] = l
-        hi[p] = u
-    return Axle(d, bytes(lo), bytes(hi))
 
 
 def format_outlet_table(table):

@@ -24,18 +24,16 @@ from cartwheel_discharge.axles import (
     axle_wedge_condition,
     condition_compatible,
     negate_condition,
-    reflect_axle,
-    rotate_axle,
     symmetry_permutation,
     trivial_axle,
     validate_axle,
 )
 from cartwheel_discharge.configurations import (
     build_good_configuration,
+    centers,
     load_database,
     parse_configurations,
     question_problems,
-    radius_at_most_two,
 )
 from cartwheel_discharge.errors import VerificationFailure
 from cartwheel_discharge.hubcaps import BoundContext, check_bound
@@ -44,6 +42,8 @@ from cartwheel_discharge.oracles import (
     brute_force_subconfig,
     random_axle,
     random_outlets,
+    reflect_axle,
+    rotate_axle,
 )
 from cartwheel_discharge.reducibility import (
     reducible,
@@ -51,7 +51,6 @@ from cartwheel_discharge.reducibility import (
     skeleton_of,
 )
 from cartwheel_discharge.rules import (
-    axle_from_outlet,
     axle_wedge_outlet,
     enforced,
     outlet_from_axle,
@@ -169,7 +168,8 @@ def test_outlet_suite():
                         assert enforced(b, o, x)
         for a in axles[:150]:
             b = strip_fans(a)
-            assert axle_from_outlet(outlet_from_axle(b), d) == b
+            assert axle_wedge_outlet(trivial_axle(d), outlet_from_axle(b),
+                                     1) == b
     _done("outlet-suite", 30, t0)
 
 
@@ -348,7 +348,7 @@ def test_configuration_database_properties():
     configs = parse_configurations(CONFIGS_DB)
     assert len(configs) == 7
     for cfg in configs:
-        assert radius_at_most_two(cfg) is not None
+        assert centers(cfg)
         assert all(g <= 11 for g in cfg.gamma.values())
     for gc in load_database(CONFIGS_DB):
         assert question_problems(gc.question, gc.config,

@@ -5,12 +5,12 @@ import pytest
 from cartwheel_discharge.axles import (Axle, NULL_CONDITION,
                                        axle_wedge_condition, band_of,
                                        condition_compatible, is_fan_free,
-                                       negate_condition, pos_add,
-                                       reflect_axle, rotate_axle, spoke_of,
+                                       negate_condition, pos_add, spoke_of,
                                        symmetry_permutation, trivial_axle,
                                        validate_axle)
 from cartwheel_discharge.errors import InputError
-from cartwheel_discharge.oracles import random_axle, random_condition
+from cartwheel_discharge.oracles import (random_axle, random_condition,
+                                         reflect_axle, rotate_axle)
 
 
 def strip_fans(a):

@@ -133,6 +133,20 @@ def test_uncaught_exceptions_exit_three(files, monkeypatch):
     assert "verified" not in out
 
 
+def test_symmetry_self_check_exits_three(files, monkeypatch):
+    # the S step checks a pure rotation's containment against the
+    # interval kernel; a kernel that answers wrong is an engine bug
+    from cartwheel_discharge import presentation
+
+    real = presentation.enforced
+    monkeypatch.setattr(presentation, "enforced",
+                        lambda *args: not real(*args))
+    code, out, err = verify(files, "symmetry")
+    assert (code, out) == (3, "")
+    assert err == ("internal error: rotation containment disagrees with "
+                   "the interval kernel\n")
+
+
 def test_verify_rejects_degree_mismatch(files):
     code, _, err = run_cli(["verify", "-d", "8", "-r", files["rules_empty"],
                             "-p", files["zero"], "-c", files["configs_empty"]])
@@ -338,16 +352,22 @@ def test_lint_names_the_line_of_a_rule_that_does_not_embed(tmp_path):
     assert (code, out) == (1, f"{rules}:2: v8 does not embed at degree 5\n")
 
 
-def test_lint_flags_presentation_problems(tmp_path):
+def test_lint_flags_presentation_problems(files, tmp_path):
+    # lint and verify give the hubcap-sum defect the same message
     text = (f"degree 7\n"
             f"0 H {ZERO_TRIPLES_7.replace('1 1 0', '1 1 50')}\n"
             f"0 R\n")
     pres = write(tmp_path, "heavy.pres", text)
+    message = "hubcap sum 50 fails 10(6-7) + floor(sum/2) <= 0"
     code, out, _ = run_cli(["lint", "-p", pres])
     assert code == 1
     lines = out.splitlines()
     assert f"{pres}:3: step after the proof already closed" in lines
-    assert f"{pres}:2: hubcap sum fails the closing inequality" in lines
+    assert f"{pres}:2: {message}" in lines
+    code, out, err = run_cli(["verify", "-d", "7", "-r", files["rules_empty"],
+                              "-p", pres, "-c", files["configs_empty"]])
+    assert (code, out, err) == (1, "", f"verification failed: line 2: "
+                                       f"{message}\n")
 
 
 @pytest.mark.parametrize("body, line, message", [

@@ -21,7 +21,6 @@ from cartwheel_discharge.configurations import (
     make_question,
     parse_configurations,
     question_problems,
-    radius_at_most_two,
     reflect_question,
 )
 from cartwheel_discharge.errors import InputError
@@ -414,13 +413,19 @@ def test_isolated_drawing_seeds_on_its_ring_neighbor():
 def test_centers_prefer_nothing_on_a_long_path():
     cfg = parse_one(CONFIG_LONG_PATH)
     assert centers(cfg) == []
-    assert radius_at_most_two(cfg) is None
 
 
 def test_good_configuration_requires_small_radius():
     cfg = parse_one(CONFIG_LONG_PATH)
     with pytest.raises(InputError, match="radius exceeds two"):
         build_good_configuration(cfg)
+
+
+def test_probe_sequence_names_the_radius_defect_alike():
+    # make_question finds no center before it reads the enhancement
+    cfg = parse_one(CONFIG_LONG_PATH)
+    with pytest.raises(InputError, match="^longpath: radius exceeds two$"):
+        make_question(cfg, cfg, None)
 
 
 def test_load_database_builds_everything():

@@ -1,8 +1,9 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
-every top-level definition of the package is used somewhere, a name
-that two modules share is public, one reader turns input text into
-lines and integers, the package keeps no process-global cache, and
-only the CLI names the file an error is about."""
+every top-level definition of the package is used somewhere and every
+one of the engine is used by the engine, a name that two modules share
+is public, one reader turns input text into lines and integers, the
+package keeps no process-global cache, and only the CLI names the file
+an error is about."""
 
 import ast
 import glob
@@ -85,6 +86,29 @@ def test_every_package_definition_is_used():
     unused = sorted(f"{path}: {name}" for name, path in defined.items()
                     if name not in used)
     assert unused == []
+
+
+def test_engine_definitions_serve_the_engine():
+    """Tests check the engine; they do not keep parts of it alive.  A
+    definition that only tests call is a second copy of a fact the
+    engine holds elsewhere, or a reference that belongs in oracles.py.
+    So each top-level definition of an engine module (the package but
+    oracles.py and __init__.py) is named by the engine itself or by a
+    non-test file of the benchmark."""
+    engine = [path for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+              if os.path.basename(path) not in ("oracles.py", "__init__.py")]
+    bench = [path for path in glob.glob(os.path.join(ROOT, "perfbench", "**",
+                                                     "*.py"), recursive=True)
+             if "tests" not in os.path.relpath(path, ROOT).split(os.sep)]
+    trees = {}
+    for path in engine + bench:
+        with open(path, encoding="utf-8") as fh:
+            trees[path] = ast.parse(fh.read(), path)
+    used = set().union(*map(_uses, trees.values()))
+    idle = sorted(f"{os.path.relpath(path, ROOT)}: {top.name}"
+                  for path in engine for top in trees[path].body
+                  if isinstance(top, DEFINITIONS) and top.name not in used)
+    assert idle == []
 
 
 def test_no_module_imports_a_private_name_of_another():

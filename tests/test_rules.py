@@ -5,11 +5,11 @@ rotation system and frozen here."""
 import pytest
 
 from cartwheel_discharge.errors import InputError
-from cartwheel_discharge.rules import (DerivedOutlet, Outlet, derive_outlets,
-                                       diff_outlet_tables,
+from cartwheel_discharge.rules import (DerivedOutlet, Outlet, RuleSpec,
+                                       derive_outlets, diff_outlet_tables,
                                        format_outlet_table,
-                                       mirror_rule_spec, parse_outlet_table,
-                                       parse_rules, validate_outlet)
+                                       parse_outlet_table, parse_rules,
+                                       validate_outlet)
 
 from _fixtures import OUTLETS_DEMO_7, RULES_DEMO
 
@@ -138,6 +138,18 @@ def test_validate_outlet_flags():
 
 
 # ----------------------------------------------------------------- mirror
+
+# Mirror image of a rule: these template slots swap under reflection,
+# all others are fixed.
+MIRROR_SLOTS = {2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6, 8: 9, 9: 8,
+                10: 11, 11: 10, 12: 14, 14: 12}
+
+
+def mirror_rule_spec(spec):
+    bounds = sorted((MIRROR_SLOTS.get(s, s), b, e) for s, b, e in spec.bounds)
+    # keep v0, v1 first, then ascending
+    return RuleSpec(tuple(bounds), spec.line)
+
 
 def _mu(p, d):
     # mirror position map: reflect within the band, then rotate once
