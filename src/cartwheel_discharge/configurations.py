@@ -7,12 +7,14 @@ clockwise order.  cyclic[v] tells whether that list is the full cycle
 region.  gamma[v] is the labeled degree; ring vertices added by
 completion carry None.
 
-Faces are traced edge by edge: from a directed edge (u, v) the next
-edge of the same face is (v, w) with w the clockwise predecessor of u
-around v.  A corner is open when it touches the infinite region,
-which shows up either as the wrap of a linear list or as a flanking
-pair that is not itself an edge.  A valid drawing has exactly one
-all-open face and every other face a closed triangle.
+The corner of a directed edge (u, v) sits at v, between u and w, the
+clockwise predecessor of u around v; the next edge of the same face is
+(v, w).  A corner is open when it touches the infinite region, which
+shows up either as the wrap of a linear list or as a flanking pair that
+is not itself an edge.  One pass over the corners finds the closed
+triangles; only the faces that are not closed triangles are traced.  A
+valid drawing has exactly one all-open face and every other face a
+closed triangle.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from dataclasses import dataclass
 
 from .errors import (InputError, InternalInvariantError, integers, records,
                      split_lines)
-
-
-def _canon_triangle(a, b, c):
-    if a <= b and a <= c:
-        return (a, b, c)
-    if b <= a and b <= c:
-        return (b, c, a)
-    return (c, a, b)
 
 
 def _reach(adj, start, avoid=None):
@@ -68,46 +62,24 @@ class Configuration:
     def __repr__(self):
         return f"Configuration({self.name}, {len(self.ids)} vertices)"
 
-    def _faces(self):
-        rot, cyclic, adj = self.rot, self.cyclic, self.adj
-        nxt = {}
-        opens = {}
-        for v, lst in rot.items():
-            for t, u in enumerate(lst):
-                w = lst[t - 1]
-                nxt[(u, v)] = (v, w)
-                opens[(u, v)] = (t == 0 and not cyclic[v]) or w not in adj[u]
-        orbits = []
-        seen = set()
-        for e0 in sorted(nxt):
-            if e0 in seen:
-                continue
-            orbit = [e0]
-            seen.add(e0)
-            e = nxt[e0]
-            while e != e0:
-                orbit.append(e)
-                seen.add(e)
-                e = nxt[e]
-            orbits.append(orbit)
-        return opens, orbits
-
     def _check_graph(self):
         name = self.name
         if not self.rot:
             raise InputError(f"{name}: no vertices")
-        if set(self.gamma) != set(self.rot) or set(self.cyclic) != set(self.rot):
+        vs = self.rot.keys()
+        if self.gamma.keys() != vs or self.cyclic.keys() != vs:
             raise InputError(f"{name}: vertex tables out of step")
         adj = {}
         for v, lst in self.rot.items():
-            if v in lst:
+            adj[v] = near = frozenset(lst)
+            if v in near:
                 raise InputError(f"{name}: vertex {v} lists itself")
-            if len(set(lst)) != len(lst):
+            if len(near) != len(lst):
                 raise InputError(f"{name}: vertex {v} repeats a neighbor")
-            adj[v] = frozenset(lst)
+        get = adj.get
         for v, lst in self.rot.items():
             for u in lst:
-                if u not in adj or v not in adj[u]:
+                if v not in get(u, ()):
                     raise InputError(f"{name}: edge {v}-{u} is one-sided")
         self.adj = adj
         # rot, not adj: lists iterate faster than frozensets, and
@@ -116,30 +88,48 @@ class Configuration:
             raise InputError(f"{name}: drawing is not connected")
 
     def _triangulate(self):
-        """Check the graph, trace its faces, and cache `third` and
-        `triangles` from the closed triangles.  Returns the corner map
-        and the face orbits that are not closed triangles."""
+        """Check the graph, read every corner once, and cache `third`
+        and `triangles` from the closed triangles.  Returns the open
+        corners and the corners off the closed triangles, each as
+        (u, v) -> w."""
         self._check_graph()
-        self.third = {}
+        self.third = third = {}
         self.triangles = ()
         if len(self.ids) == 1:
-            return {}, []
-        opens, orbits = self._faces()
-        third = self.third
-        canon = []
-        rest = []
-        for orbit in orbits:
-            if len(orbit) != 3 or any([opens[e] for e in orbit]):
-                rest.append(orbit)
-                continue
-            for t in range(3):
-                u, v = orbit[t]
-                _, w = orbit[(t + 1) % 3]
+            return {}, {}
+        adj = self.adj
+        opened = {}
+        closed = {}
+        for v, lst in self.rot.items():
+            if self.cyclic[v]:
+                w = lst[-1]
+                us = lst
+            else:
+                w = lst[0]
+                opened[(w, v)] = lst[-1]
+                us = lst[1:]
+            for u in us:
+                if w in adj[u]:
+                    closed[(u, v)] = w
+                else:
+                    opened[(u, v)] = w
+                w = u
+        # a closed triangle (u, v, w) is met once, from its least vertex
+        tris = []
+        get = closed.get
+        for (u, v), w in closed.items():
+            if u < v and u < w and get((v, w)) == u and get((w, u)) == v:
                 third[(u, v)] = w
-            a, b = orbit[0]
-            canon.append(_canon_triangle(a, b, third[(a, b)]))
-        self.triangles = tuple(sorted(canon))
-        return opens, rest
+                third[(v, w)] = u
+                third[(w, u)] = v
+                tris.append((u, v, w))
+        self.triangles = tuple(sorted(tris))
+        left = dict(opened)
+        if len(third) != len(closed):
+            for e, w in closed.items():
+                if e not in third:
+                    left[e] = w
+        return opened, left
 
     def validate_light(self):
         """Adjacency and connectivity checks plus the corner map, with
@@ -152,12 +142,24 @@ class Configuration:
         """Check the drawing and cache adjacency, triangles, and the
         outer walk.  Raises InputError on any defect."""
         name = self.name
-        opens, rest = self._triangulate()
+        opened, left = self._triangulate()
         self.outer = ()
         if len(self.ids) == 1:
             return self
+        # the faces left, each traced from its least edge
+        rest = []
+        for e0 in sorted(left):
+            w = left.pop(e0, None)
+            if w is None:
+                continue
+            orbit = [e0]
+            e = (e0[1], w)
+            while e != e0:
+                orbit.append(e)
+                e = (e[1], left.pop(e))
+            rest.append(orbit)
         for orbit in rest:
-            if not all(opens[e] for e in orbit):
+            if not all(e in opened for e in orbit):
                 raise InputError(
                     f"{name}: face through {orbit[0]} is neither a triangle "
                     f"nor the infinite region")
@@ -168,22 +170,19 @@ class Configuration:
         if len(self.ids) - edges + len(self.triangles) + 1 != 2:
             raise InputError(f"{name}: face count breaks the plane formula")
         self.outer = tuple(rest[0])
-        opens_at = {v: 0 for v in self.ids}
-        for (u, v), flag in opens.items():
-            if flag:
-                opens_at[v] += 1
+        boundary = {v for _, v in opened}
         for v in self.ids:
             g = self.gamma[v]
             deg = len(self.rot[v])
             if g is None:
-                if opens_at[v] == 0:
+                if v not in boundary:
                     raise InputError(
                         f"{name}: unlabeled vertex {v} is interior")
                 continue
             if g < deg:
                 raise InputError(
                     f"{name}: vertex {v} labeled {g} below its degree {deg}")
-            if (g == deg) != (opens_at[v] == 0):
+            if (g == deg) != (v not in boundary):
                 raise InputError(
                     f"{name}: vertex {v} labeled {g} does not match its "
                     f"boundary status")
@@ -437,12 +436,12 @@ def enhance(cfg: Configuration, l0: Configuration, ring):
     return j, extra
 
 
-def make_question(cfg: Configuration, jcfg: Configuration, extra):
+def make_question(cfg: Configuration, jcfg: Configuration, extra, cs):
     """Probe sequence: two adjacent seeds, then repeatedly a clockwise
     corner of J over two placed vertices, until the whole labeled
-    drawing is covered.  Each probe is (u, v, z, xi)."""
+    drawing is covered.  cs holds cfg's centers.  Each probe is
+    (u, v, z, xi)."""
     gam = cfg.gamma
-    cs = centers(cfg)
     if not cs:
         raise InputError(f"{cfg.name}: radius exceeds two")
     z0 = min(cs, key=lambda v: (-gam[v], v))
@@ -514,10 +513,6 @@ def question_problems(question, cfg, jcfg, extra):
 @dataclass(frozen=True)
 class GoodConfiguration:
     config: Configuration
-    completion: Configuration
-    ring: tuple
-    enhancement: Configuration
-    extra: object
     question: tuple
     reflection: tuple
 
@@ -530,11 +525,12 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
     """Complete, enhance and probe cfg; an InputError names cfg's
     'config' line when it names none."""
     try:
-        if not centers(cfg):
+        cs = centers(cfg)
+        if not cs:
             raise InputError(f"{cfg.name}: radius exceeds two")
         l0, ring = free_completion(cfg)
         j, extra = enhance(cfg, l0, ring)
-        q = make_question(cfg, j, extra)
+        q = make_question(cfg, j, extra, cs)
     except InputError as e:
         if e.line is None:
             e.line = cfg.line
@@ -543,7 +539,7 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
     if probs:
         raise InternalInvariantError(
             f"{cfg.name}: generated probes fail their checks: {probs}")
-    return GoodConfiguration(cfg, l0, ring, j, extra, q, reflect_question(q))
+    return GoodConfiguration(cfg, q, reflect_question(q))
 
 
 def load_database(text):

@@ -31,6 +31,8 @@ from cartwheel_discharge.axles import (
 from cartwheel_discharge.configurations import (
     build_good_configuration,
     centers,
+    enhance,
+    free_completion,
     load_database,
     parse_configurations,
     question_problems,
@@ -351,8 +353,8 @@ def test_configuration_database_properties():
         assert centers(cfg)
         assert all(g <= 11 for g in cfg.gamma.values())
     for gc in load_database(CONFIGS_DB):
-        assert question_problems(gc.question, gc.config,
-                                 gc.enhancement, gc.extra) == []
+        j, extra = enhance(gc.config, *free_completion(gc.config))
+        assert question_problems(gc.question, gc.config, j, extra) == []
 
     def renamed(k):
         return "".join(CONFIGS_DB.replace("config ", f"config r{t}")

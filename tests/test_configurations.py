@@ -1,5 +1,8 @@
 """Configuration parsing, completions, enhancements, and probe sequences."""
 
+import hashlib
+import random
+
 import pytest
 
 from _fixtures import (
@@ -32,6 +35,11 @@ def parse_one(text):
     cfgs = parse_configurations(text)
     assert len(cfgs) == 1
     return cfgs[0]
+
+
+def enhancement(cfg):
+    """(J, extra) of cfg, rebuilt as build_good_configuration builds it."""
+    return enhance(cfg, *free_completion(cfg))
 
 
 # -------------------------------------------------------------- parsing
@@ -193,6 +201,141 @@ def test_validate_rejects_tables_out_of_step():
                         {1: False, 2: False})
     with pytest.raises(InputError, match="out of step"):
         cfg.validate()
+
+
+def k7_torus():
+    """K7 drawn on the torus: every face a closed triangle, no corner
+    open, so no infinite region at all."""
+    return {v: [(v + k - 1) % 7 + 1 for k in (1, 3, 2, 6, 4, 5)]
+            for v in range(1, 8)}
+
+
+def test_validate_rejects_a_drawing_with_no_infinite_region():
+    rot = k7_torus()
+    cfg = Configuration("k7", {v: 6 for v in rot}, rot,
+                        {v: True for v in rot})
+    with pytest.raises(InputError) as e:
+        cfg.validate()
+    assert e.value.message == "k7: expected one infinite region, found 0"
+
+
+def test_validate_rejects_a_torus_with_one_face_opened():
+    # open face {1, 2, 4}: each of its vertices turns linear, its list
+    # rotated so that the other two are its ends
+    rot = k7_torus()
+    gamma = {v: 6 for v in rot}
+    cyclic = {v: True for v in rot}
+    face = {1, 2, 4}
+    for v in face:
+        lst = rot[v]
+        t = next(t for t in range(6) if {lst[t - 1], lst[t]} == face - {v})
+        rot[v] = lst[t:] + lst[:t]
+        gamma[v] = 7
+        cyclic[v] = False
+    cfg = Configuration("k7open", gamma, rot, cyclic)
+    with pytest.raises(InputError) as e:
+        cfg.validate()
+    assert e.value.message == "k7open: face count breaks the plane formula"
+
+
+def test_validate_rejects_a_repeated_neighbor():
+    cfg = Configuration("twice", {1: 5, 2: 5}, {1: [2, 2], 2: [1]},
+                        {1: False, 2: False})
+    with pytest.raises(InputError) as e:
+        cfg.validate()
+    assert e.value.message == "twice: vertex 1 repeats a neighbor"
+
+
+def test_validate_rejects_an_unlabeled_interior_vertex():
+    cfg = Configuration("wheel", {1: 4, 2: 4, 3: 4, 4: None}, WHEEL_ROT,
+                        {1: False, 2: False, 3: False, 4: True})
+    with pytest.raises(InputError) as e:
+        cfg.validate()
+    assert e.value.message == "wheel: unlabeled vertex 4 is interior"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("config edge66 2\nv 1 2 : 2\nv 2 6 : 1\nend\n",
+     "edge66: completion is not a plane triangulation: edge66+ring: "
+     "vertex 2 repeats a neighbor"),
+    ("config e33 2\nv 1 3 : 2\nv 2 3 : 1\nend\n",
+     "e33: ring of 2 vertices is not a circuit"),
+    ("config dot2 1\nv 1 2 :\nend\n",
+     "dot2: cannot ring a vertex labeled 2"),
+], ids=["completion", "ring", "dot"])
+def test_build_messages(text, message):
+    with pytest.raises(InputError) as e:
+        load_database(text)
+    assert e.value.message == message
+    assert e.value.line == 1
+
+
+def _mutant(cfg, rng):
+    """cfg's name and tables with one seeded defect: two neighbors
+    swapped, one dropped, a list reversed or rotated, cyclic flipped, a
+    label changed, or an edge deleted from both sides."""
+    rot = {v: list(ws) for v, ws in cfg.rot.items()}
+    cyclic = dict(cfg.cyclic)
+    gamma = dict(cfg.gamma)
+    v = rng.choice(cfg.ids)
+    lst = rot[v]
+    kind = rng.randrange(7) if len(lst) > 1 else rng.randrange(4, 6)
+    if kind == 0:
+        i, j = rng.sample(range(len(lst)), 2)
+        lst[i], lst[j] = lst[j], lst[i]
+    elif kind == 1:
+        del lst[rng.randrange(len(lst))]
+    elif kind == 2:
+        lst.reverse()
+    elif kind == 3:
+        t = rng.randrange(1, len(lst))
+        rot[v] = lst[t:] + lst[:t]
+    elif kind == 4:
+        cyclic[v] = not cyclic[v]
+    elif kind == 5:
+        gamma[v] = rng.choice([None, *range(1, 12)])
+    else:
+        u = rng.choice(lst)
+        lst.remove(u)
+        rot[u].remove(v)
+    return cfg.name, gamma, rot, cyclic
+
+
+def _outcome(cfg, check):
+    try:
+        check(cfg)
+    except InputError as e:
+        return e.message
+    return (sorted((v, sorted(ws)) for v, ws in cfg.adj.items()),
+            sorted(cfg.third.items()), cfg.triangles,
+            getattr(cfg, "outer", None))
+
+
+def test_validation_of_mutants_keeps_its_digest():
+    # seeded mutants of the fixture drawings and their completions, each
+    # validated in full and lightly, against a fixed digest: a change to
+    # any verdict, message, corner, triangle or outer walk shows
+    drawings = [parse_one(CONFIG_LONG_PATH)]
+    for cfg in parse_configurations(CONFIGS_DB):
+        drawings += [cfg, free_completion(cfg)[0]]
+    rng = random.Random("validate")
+    h = hashlib.sha256()
+    messages = set()
+    for cfg in drawings:
+        for _ in range(150):
+            m = _mutant(cfg, rng)
+            for check in (Configuration.validate, Configuration.validate_light):
+                out = _outcome(Configuration(*m), check)
+                h.update(repr(out).encode())
+                if isinstance(out, str):
+                    messages.add(out.split(": ", 1)[1])
+    kinds = {k for k in ("is neither a triangle", "infinite region, found",
+                         "one-sided", "not connected", "below its degree",
+                         "boundary status", "is interior")
+             if any(k in msg for msg in messages)}
+    assert len(kinds) == 7, kinds
+    assert h.hexdigest() == (
+        "054ffe656be6ff463b7267b2f5627d9a41fae1c39f7e17c1d4753b5335669bee")
 
 
 # ------------------------------------------------------ free completion
@@ -362,8 +505,8 @@ def test_reflection_swaps_corners_and_inverts():
 
 def test_database_questions_pass_their_checks():
     for gc in load_database(CONFIGS_DB):
-        probs = question_problems(gc.question, gc.config, gc.enhancement,
-                                  gc.extra)
+        probs = question_problems(gc.question, gc.config,
+                                  *enhancement(gc.config))
         assert probs == []
         assert gc.reflection == reflect_question(gc.question)
 
@@ -372,7 +515,7 @@ def test_question_problems_detections():
     cfg = parse_one(CONFIG_DIAMOND)
     gc = build_good_configuration(cfg)
     q = gc.question
-    j, extra = gc.enhancement, gc.extra
+    j, extra = enhancement(cfg)
 
     broken = q[:2] + ((1, 3, 2, 5),) + q[3:]
     assert any("not a clockwise corner" in p
@@ -404,7 +547,7 @@ def test_isolated_drawing_seeds_on_its_ring_neighbor():
     cfg = parse_one("config dot5 1\nv 1 5 :\nend\n")
     gc = build_good_configuration(cfg)
     tampered = (gc.question[0], (None, None, 2, 5))
-    probs = question_problems(tampered, cfg, gc.enhancement, gc.extra)
+    probs = question_problems(tampered, cfg, *enhancement(cfg))
     assert any("must seed on its ring neighbor" in p for p in probs)
 
 
@@ -425,7 +568,7 @@ def test_probe_sequence_names_the_radius_defect_alike():
     # make_question finds no center before it reads the enhancement
     cfg = parse_one(CONFIG_LONG_PATH)
     with pytest.raises(InputError, match="^longpath: radius exceeds two$"):
-        make_question(cfg, cfg, None)
+        make_question(cfg, cfg, None, centers(cfg))
 
 
 def test_load_database_builds_everything():
@@ -433,5 +576,5 @@ def test_load_database_builds_everything():
     assert [gc.name for gc in db] == [
         "edge66", "edge56", "dot5", "edge55", "bowtie", "tri666", "diamond"]
     for gc in db:
-        assert set(gc.config.ids) <= set(gc.completion.ids)
+        assert set(gc.config.ids) <= set(free_completion(gc.config)[0].ids)
         assert gc.question[0][2] in gc.config.ids
