@@ -16,6 +16,13 @@ inside its entry: A & N == 0.  It is permitted when every entry lane
 of A meets its entry; adding K to A & E carries into the guard bit
 exactly on the lanes that are not empty, and no carry crosses a lane.
 Its wedge intersects the entries into A: A & W.
+
+The bound search settles every outlet of a context at once through
+`LaneTables`, the same masks transposed by lane: one table lookup per
+entry lane gives the bitsets of the outlets an axle leaves unenforced
+and those it does not permit.  The per-outlet kernels stay for the
+wedge, the bound search's prune test and the public rules.enforced /
+permitted / axle_wedge_outlet.
 """
 
 from __future__ import annotations
@@ -56,3 +63,46 @@ def outlet_wedge(a, masks):
     if ((a & e) + k) & h != h:
         return None
     return a & w
+
+
+class LaneTables:
+    """The masks of a list of outlets transposed by lane, outlet i at
+    bit i.  For an entry lane l and an axle byte b on it, slot b of l
+    holds the outlets with an entry at l that b does not lie inside
+    (b & ~m != 0: not enforced), and above them, shifted by the number
+    of outlets, those whose entry b misses (b & m == 0: not permitted).
+    A slot is filled on its first use."""
+
+    def __init__(self, masks, d):
+        self.n = len(masks)
+        self.width = 5 * d
+        lanes = {}
+        for i, (outside, _, inside, k, _) in enumerate(masks):
+            while k:
+                lane = ((k & -k).bit_length() - 1) >> 3
+                at = 8 * lane
+                lanes.setdefault(lane, []).append(
+                    (1 << i, outside >> at & 0x1F, inside >> at & 0x1F))
+                k &= ~(0xFF << at)
+        self._lanes = tuple((lane, [None] * 32, tuple(entries))
+                            for lane, entries in sorted(lanes.items()))
+
+    def settle(self, packed):
+        """(not enforced, not permitted): the bitsets of the outlets the
+        packed axle leaves unenforced and those it does not permit."""
+        n = self.n
+        raw = packed.to_bytes(self.width, "little")
+        sets = 0
+        for lane, slots, entries in self._lanes:
+            b = raw[lane]
+            got = slots[b]
+            if got is None:
+                out = miss = 0
+                for bit, outside, inside in entries:
+                    if b & outside:
+                        out |= bit
+                    if not b & inside:
+                        miss |= bit
+                got = slots[b] = out | miss << n
+            sets |= got
+        return sets & ((1 << n) - 1), sets >> n

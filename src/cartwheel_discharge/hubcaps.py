@@ -5,6 +5,12 @@ A hubcap is a list of triples (x, y, v): spoke pair plus a claimed
 upper bound v on the total charge the rules can move between the hub
 and that pair.  Certifying each bound is the job of check_bound; the
 final inequality 10(6-d) + floor(sum(v)/2) <= 0 closes the case.
+
+The search keeps its sign vector as two int bitsets over the context's
+positioned outlets, the enforced and the not permitted ones (outlet i
+at bit i), and settles a node's undecided outlets in one pass over the
+context's lane tables (see _kernels).  A run builds each spoke pair's
+context once and shares it between its H steps.
 """
 
 from __future__ import annotations
@@ -77,14 +83,21 @@ class BoundContext:
 
     def __post_init__(self):
         self.values = tuple(o.value for o, _ in self.positioned)
-        self._masks = (None, ())       # (degree, masks), compiled on use
+        groups = {}
+        for i, value in enumerate(self.values):
+            groups[value] = groups.get(value, 0) | 1 << i
+        # (value, bitset of the outlets with it), and the positive ones
+        self.groups = tuple(sorted(groups.items()))
+        self.positive = sum(bits for value, bits in self.groups if value > 0)
+        self._compiled = (None, (), None)   # (degree, masks, lane tables)
 
-    def masks(self, d):
-        """The positioned outlets' kernel masks at degree d."""
-        if self._masks[0] != d:
-            self._masks = (d, tuple(out.masks(x, d)
-                                    for out, x in self.positioned))
-        return self._masks[1]
+    def compiled(self, d):
+        """The positioned outlets' kernel masks at degree d, and their
+        lane tables; compiled on first use."""
+        if self._compiled[0] != d:
+            masks = tuple(out.masks(x, d) for out, x in self.positioned)
+            self._compiled = (d, masks, _kernels.LaneTables(masks, d))
+        return self._compiled[1:]
 
 
 def build_bound_context(table, x, y, reducer, trace=None):
@@ -100,33 +113,44 @@ def check_bound(ctx: BoundContext, p: int, s: list, v: int, a: Axle,
     reducibility.  Raises VerificationFailure when neither works.
 
     s is the caller's sign vector: +1 enforced, -1 not permitted,
-    0 undecided; entries before p are settled.
+    0 undecided; entries before p are settled.  It is read, not
+    written.
     """
-    d = a.d
-    masks = ctx.masks(d)
-    values = ctx.values
+    pos = sum(1 << i for i, t in enumerate(s) if t == 1)
+    neg = sum(1 << i for i, t in enumerate(s) if t == -1)
+    _search(ctx, *ctx.compiled(a.d), p, pos, neg, v, a, trail)
+
+
+def _bits(x):
+    """The set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _search(ctx, masks, lanes, p, pos, neg, v, a, trail):
+    # pos / neg: bitsets of the enforced / not permitted outlets
     n = len(masks)
     packed = a.packed
-    enforced = _kernels.outlet_enforced
     # settle every undecided outlet, not just those from p on: a wedge
     # for a later outlet can force an earlier negative one
-    f = 0
-    acc = 0
-    for i in range(n):
-        t = s[i]
-        if t == 0:
-            if enforced(packed, masks[i]):
-                s[i] = t = 1
-            elif not _kernels.outlet_permitted(packed, masks[i]):
-                s[i] = t = -1
-        if t == 1:
-            f += values[i]
-        elif t == 0 and values[i] > 0:
-            acc += values[i]
+    undecided = ((1 << n) - 1) & ~(pos | neg)
+    if undecided:
+        out, miss = lanes.settle(packed)
+        pos |= undecided & ~out
+        neg |= undecided & out & miss
+        undecided &= out & ~miss
+    f = acc = 0
+    for value, bits in ctx.groups:
+        f += value * (pos & bits).bit_count()
+        if value > 0:
+            acc += value * (undecided & bits).bit_count()
     if ctx.trace is not None:
-        ctx.trace.append(
-            f"bound p={p} s={''.join(str(t + 1) for t in s)} f={f} a={acc} "
-            f"v={v} axle={a.digest()}")
+        signs = "".join("2" if pos >> i & 1 else "0" if neg >> i & 1
+                        else "1" for i in range(n))
+        ctx.trace.append(f"bound p={p} s={signs} f={f} a={acc} v={v} "
+                         f"axle={a.digest()}")
     if acc + f <= v:
         return
     if f > v:
@@ -138,43 +162,48 @@ def check_bound(ctx: BoundContext, p: int, s: list, v: int, a: Axle,
         raise VerificationFailure(
             f"forced value {f} exceeds bound {v} and the axle is not "
             f"reducible (branch {list(trail)}, axle {a!r})")
-    for q in range(p, n):
-        if s[q] != 0 or values[q] <= 0:
-            continue
+    enforced = _kernels.outlet_enforced
+    excluded = neg & ((1 << p) - 1)
+    for q in _bits(undecided & ctx.positive & ~((1 << p) - 1)):
         wedged = _kernels.outlet_wedge(packed, masks[q])
         if wedged is None:
             raise InternalInvariantError(
                 "undecided outlet failed to wedge despite being permitted")
-        pruned = False
-        for i in range(p):
-            if s[i] == -1 and enforced(wedged, masks[i]):
-                pruned = True
+        # prune when the wedge enforces an outlet excluded before p
+        for i in _bits(excluded):
+            if enforced(wedged, masks[i]):
+                if ctx.trace is not None:
+                    ctx.trace.append(f"bound prune q={q}")
                 break
-        if not pruned:
-            s_child = list(s)
-            s_child[q] = 1
-            check_bound(ctx, q, s_child, v, Axle.from_packed(d, wedged),
-                        trail + (q,))
-        elif ctx.trace is not None:
-            ctx.trace.append(f"bound prune q={q}")
-        s[q] = -1
-        acc -= values[q]
+        else:
+            _search(ctx, masks, lanes, q, pos | 1 << q, neg, v,
+                    Axle.from_packed(a.d, wedged), trail + (q,))
+        neg |= 1 << q
+        acc -= ctx.values[q]
         if acc + f <= v:
             return
     raise InternalInvariantError("check_bound exhausted its branches "
                                  "without settling the bound")
 
 
-def check_hubcap(a: Axle, triples, table, reducer, trace=None):
+def check_hubcap(a: Axle, triples, table, reducer, trace=None,
+                 contexts=None):
     """Verify every triple's bound, in order, and the closing
     inequality.  A triple's trace lines are kept only once every
-    triple has passed."""
+    triple has passed.  `contexts` is the run's memo of bound contexts
+    by spoke pair, for one table and reducer; a call without one builds
+    its own."""
     check_hubcap_sum(triples, a.d)
+    if contexts is None:
+        contexts = {}
     lines = [] if trace is not None else None
     for x, y, v in triples:
         if lines is not None:
             lines.append(f"hubcap triple {x} {y} {v}")
-        ctx = build_bound_context(table, x, y, reducer, lines)
+        ctx = contexts.get((x, y))
+        if ctx is None:
+            ctx = contexts[x, y] = build_bound_context(table, x, y, reducer)
+        ctx.trace = lines
         check_bound(ctx, 0, [0] * len(ctx.positioned), v, a)
     if trace is not None:
         trace += lines

@@ -191,8 +191,10 @@ def run_presentation(degree, lines, table, db, trace=None):
     frames = [(start, start)]
     pool = []
     report = RunReport(degree)
-    # both memos die with this run, so no verdict outlives its database
+    # the memos die with this run, so no verdict outlives its database
+    # and no bound context its table
     placements = {}
+    contexts = {}
     reducer = _make_reducer(db, placements)
 
     for ln in walk_levels(lines):
@@ -225,7 +227,7 @@ def run_presentation(degree, lines, table, db, trace=None):
             if ln.kind == "R":
                 reducible(a, db, trace, placements=placements)
             elif ln.kind == "H":
-                check_hubcap(a, ln.payload, table, reducer, trace)
+                check_hubcap(a, ln.payload, table, reducer, trace, contexts)
             else:
                 ok = check_symmetry_disposition(pool, *ln.payload, a)
                 if not ok:

@@ -1,6 +1,9 @@
-"""End-to-end runs of the command-line front end (in-process)."""
+"""End-to-end runs of the command-line front end (in-process, but for
+the `python -m` forms)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -220,6 +223,27 @@ def test_verify_failure_on_evicted_symmetry(files):
     assert code == 1
     assert err.startswith(
         "verification failed: line 6: symmetry appeal does not cover")
+
+
+@pytest.mark.parametrize("module", ["cartwheel_discharge",
+                                    "cartwheel_discharge.cli"])
+def test_module_forms_match_the_entry_point(files, tmp_path, module):
+    # `python -m` must verify, not merely import the CLI and exit 0
+    bad = write(tmp_path, "negative.pres",
+                f"degree 7\n0 H {ZERO_TRIPLES_7.replace('1 1 0', '1 1 -1')}\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for pres, want in ((files["zero"], 0), (bad, 1)):
+        argv = ["verify", "-d", "7", "-r", files["rules_empty"],
+                "-p", pres, "-c", files["configs_empty"]]
+        code, out, err = run_cli(argv)
+        assert code == want
+        got = subprocess.run([sys.executable, "-m", module, *argv],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert (got.returncode, got.stdout, got.stderr) == (code, out, err)
 
 
 # ----------------------------------------------------------------- trace

@@ -1,5 +1,8 @@
 """Hubcap coverage, the closing inequality, and the bound certifier."""
 
+import hashlib
+import random
+
 import pytest
 
 from cartwheel_discharge.axles import trivial_axle
@@ -12,8 +15,10 @@ from cartwheel_discharge.hubcaps import (
     check_hubcap,
     validate_hubcap,
 )
-from cartwheel_discharge.oracles import brute_force_bound
-from cartwheel_discharge.rules import DerivedOutlet, Outlet
+from cartwheel_discharge.oracles import (brute_force_bound, random_axle,
+                                         random_outlets)
+from cartwheel_discharge.rules import (DerivedOutlet, Outlet, enforced,
+                                       permitted)
 
 
 def never(a):
@@ -177,6 +182,51 @@ def test_trace_lines_carry_sign_vector_and_digest():
         f"bound p=0 s=11 f=0 a=2 v=1 axle={a.digest()}")
     assert all(set(line.split("s=")[1].split()[0]) <= set("012")
                for line in trace if line.startswith("bound p="))
+
+
+def test_bound_traces_keep_their_digest():
+    # brute_force_bound stops at 16 outlets; pooled tables place 28-54.
+    # So searches over 20-54 placements are pinned by a digest of every
+    # trace line and outcome instead, with the reducer stubs of the
+    # exhaustive-oracle test and v swept from below the forced value to
+    # the sum of every permitted positive outlet.
+    stubs = (
+        lambda b: False,
+        lambda b: True,
+        lambda b: sum(b.lo[1:b.d + 1]) >= 5 * b.d + b.d // 2,
+        lambda b: sum(1 for i in range(1, b.d + 1)
+                      if b.lo[i] == b.hi[i]) >= 2,
+    )
+    h = hashlib.sha256()
+    seen = {"ok": 0, "failed": 0, "bound prune": 0, "bound overflow": 0}
+    for d in range(7, 12):
+        rng = random.Random(f"bound-digest-{d}")
+        pool = random_outlets(d, ("bound-digest", d), 60)
+        for inst in range(30):
+            a = random_axle(d, ("bound-digest", d, inst))
+            positioned = tuple(
+                (pool[rng.randrange(60)], rng.randrange(1, d + 1))
+                for _ in range(rng.randrange(20, 55)))
+            f = sum(o.value for o, x in positioned if enforced(a, o, x))
+            top = f + sum(o.value for o, x in positioned if o.value > 0
+                          and not enforced(a, o, x) and permitted(a, o, x))
+            for v in sorted({f - 1, f, (f + top) // 2, top - 1, top}):
+                trace = []
+                ctx = BoundContext(positioned, stubs[inst % 4], trace)
+                try:
+                    check_bound(ctx, 0, [0] * len(positioned), v, a)
+                    outcome = "ok"
+                except VerificationFailure as e:
+                    outcome = f"{type(e).__name__}: {e}"
+                seen["ok" if outcome == "ok" else "failed"] += 1
+                for line in trace:
+                    h.update(line.encode() + b"\n")
+                    for kind in ("bound prune", "bound overflow"):
+                        seen[kind] += line.startswith(kind)
+                h.update(outcome.encode() + b"\n")
+    assert min(seen.values()) > 100
+    assert h.hexdigest() == (
+        "c732b979816f12c4442ccb8a8c4a52d9b739f3b13babb3c8fd4c6902804ccf41")
 
 
 # ------------------------------------------------------- context layout

@@ -1,6 +1,8 @@
 """The packed interval kernels against the byte-loop references in
 oracles.py, on legal axles and outlets only."""
 
+import random
+
 import pytest
 
 from cartwheel_discharge import _kernels
@@ -28,6 +30,31 @@ def test_kernels_match_the_byte_loops(d):
                 else:
                     assert (got.lo, got.hi) == want
                     assert got == Axle(d, *want)
+
+
+@pytest.mark.parametrize("d", range(5, 12))
+def test_lane_tables_match_the_kernels_and_byte_loops(d):
+    # one table per placement list, reused across axles so that filled
+    # slots are read back as well as filled
+    rng = random.Random(f"lanes-{d}")
+    outlets = random_outlets(d, ("lanes", d), 40)
+    assert any(p > 2 * d for out in outlets for p, _, _ in out.entries)
+    for size in (0, 1, 17, 60):
+        placed = [(outlets[rng.randrange(40)], rng.randrange(1, d + 1))
+                  for _ in range(size)]
+        masks = [out.masks(x, d) for out, x in placed]
+        tables = _kernels.LaneTables(masks, d)
+        for k in range(40):
+            a = random_axle(d, ("lanes", d, size, k))
+            loose, barred = tables.settle(a.packed)
+            assert loose >> size == barred >> size == 0
+            for i, ((out, x), m) in enumerate(zip(placed, masks)):
+                enf = not loose >> i & 1
+                perm = not barred >> i & 1
+                assert enf == _kernels.outlet_enforced(a.packed, m) == \
+                    _enf(a.lo, a.hi, out, x, d)
+                assert perm == _kernels.outlet_permitted(a.packed, m) == \
+                    _perm(a.lo, a.hi, out, x, d)
 
 
 def test_pack_unpack_round_trips_every_legal_interval():

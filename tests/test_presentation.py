@@ -16,7 +16,7 @@ from _fixtures import (
     RULES_TINY,
     ZERO_TRIPLES_7,
 )
-from cartwheel_discharge import presentation, reducibility
+from cartwheel_discharge import hubcaps, presentation, reducibility
 from cartwheel_discharge.axles import trivial_axle
 from cartwheel_discharge.configurations import load_database
 from cartwheel_discharge.errors import InputError, VerificationFailure
@@ -232,6 +232,52 @@ def test_no_verdict_outlives_its_run(db, text, line):
     with pytest.raises(VerificationFailure) as e:
         run(text, table=table, db=db[:1])
     assert e.value.line == line
+
+
+def _counting_contexts(monkeypatch):
+    """Record each bound context hubcaps builds, as ((x, y), context)."""
+    built = []
+    build = hubcaps.build_bound_context
+
+    def counting_build(table, x, y, *args, **kw):
+        ctx = build(table, x, y, *args, **kw)
+        built.append(((x, y), ctx))
+        return ctx
+    monkeypatch.setattr(hubcaps, "build_bound_context", counting_build)
+    return built
+
+
+def test_run_builds_each_bound_context_once(db, monkeypatch):
+    # both H steps name (1, 2), (3, 4) and (5, 6); the second names
+    # each twice.  Every run builds its own contexts, once per pair.
+    built = _counting_contexts(monkeypatch)
+    table = derive_outlets(parse_rules(RULES_SLACK), 7)
+    pairs = {(i, i % 7 + 1) for i in range(1, 8)} | {(7, 7)}
+    for _ in range(2):
+        del built[:]
+        run(PRESENT_ESCALATE_7, table=table, db=db)
+        assert sorted(p for p, _ in built) == sorted(pairs)
+
+
+def test_no_bound_context_outlives_its_run(db, monkeypatch):
+    # with the empty table every bound holds; with RULES_SLACK's and
+    # no edge56 or dot5 the first triple fails.  A context kept from
+    # another run would carry the other table.
+    built = _counting_contexts(monkeypatch)
+    slack = derive_outlets(parse_rules(RULES_SLACK), 7)
+    text = f"degree 7\n0 H {PAIRED_TRIPLES_7}\n"
+    for table, fails in ((), False), (slack, True), ((), False):
+        del built[:]
+        if fails:
+            with pytest.raises(VerificationFailure) as e:
+                run(text, table=table, db=db[:1])
+            assert e.value.line == 2
+        else:
+            assert run(text, table=table, db=db[:1]).dispositions == {"H": 1}
+        assert built
+        for (x, y), ctx in built:
+            spots = 1 if x == y else 2
+            assert len(ctx.positioned) == spots * len(table)
 
 
 def test_run_flags_level_mismatch():

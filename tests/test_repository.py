@@ -149,12 +149,65 @@ def test_only_the_line_reader_splits_lines_and_reads_integers():
 
 PROCESS_CACHES = {"lru_cache", "cache"}
 
+# calls that build a container, and the methods that change one
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict"}
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",
+            "clear", "update", "setdefault", "add", "discard", "sort",
+            "reverse", "difference_update", "intersection_update",
+            "symmetric_difference_update", "__setitem__", "__delitem__"}
+
+
+def _is_container(node):
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                         ast.ListComp, ast.SetComp)):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    name = f.id if isinstance(f, ast.Name) else \
+        f.attr if isinstance(f, ast.Attribute) else None
+    return name in CONTAINER_CALLS
+
+
+def _module_memos(tree):
+    """(line, name, how) of each module-level name bound to a dict,
+    list or set that a function changes, by a subscript store or
+    delete or by a mutating method call."""
+    containers = set()
+    for top in tree.body:
+        if isinstance(top, ast.Assign) and _is_container(top.value):
+            containers.update(t.id for t in top.targets
+                              if isinstance(t, ast.Name))
+        elif isinstance(top, ast.AnnAssign) and top.value is not None \
+                and _is_container(top.value) \
+                and isinstance(top.target, ast.Name):
+            containers.add(top.target.id)
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and \
+                    isinstance(node.ctx, (ast.Store, ast.Del)) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in containers:
+                found.append((node.lineno, node.value.id, "[...] store"))
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in MUTATORS and \
+                    isinstance(node.func.value, ast.Name) and \
+                    node.func.value.id in containers:
+                found.append((node.lineno, node.func.value.id,
+                              f".{node.func.attr}()"))
+    return found
+
 
 def test_no_process_global_cache():
     """A memo that outlives one run could hand a later run a stale
     verdict, a false "verified".  So the package rebinds no module
-    global and uses no functools cache; a memo belongs to the run that
-    made it."""
+    global, uses no functools cache and changes no module-level dict,
+    list or set; a memo belongs to the run that made it."""
     found = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         with open(path, encoding="utf-8") as fh:
@@ -173,7 +226,26 @@ def test_no_process_global_cache():
                     isinstance(node.value, ast.Name) and \
                     node.value.id == "functools":
                 found.append(f"{where}:{node.lineno} functools.{node.attr}")
+        found += [f"{where}:{line} {name}{how}"
+                  for line, name, how in _module_memos(tree)]
     assert found == []
+
+
+@pytest.mark.parametrize("source, hit", [
+    ("_MEMO = {}\ndef f(k):\n    _MEMO[k] = 1\n", "_MEMO"),
+    ("_SEEN = set()\ndef f(k):\n    _SEEN.add(k)\n", "_SEEN"),
+    ("_LOG = [x for x in ()]\ndef f(k):\n    _LOG.append(k)\n", "_LOG"),
+    ("import collections\n_BY = collections.defaultdict(list)\n"
+     "def f(k):\n    _BY[k].append(1)\n    del _BY[k]\n", "_BY"),
+    ("_M: dict = dict()\nclass C:\n    def f(self, k):\n"
+     "        _M.setdefault(k, 0)\n", "_M"),
+    ("_T = {1: 2}\ndef f(k):\n    return _T[k], _T.get(k)\n", None),
+    ("_N = (1, 2)\ndef f(k):\n    d = {}\n    d[k] = _N\n", None),
+], ids=["subscript", "set-add", "comprehension", "defaultdict", "method",
+        "read-only", "tuple"])
+def test_the_cache_guard_sees_module_memos(source, hit):
+    found = {name for _, name, _ in _module_memos(ast.parse(source))}
+    assert found == ({hit} if hit else set())
 
 
 def _path_slots():
