@@ -82,17 +82,14 @@ class Configuration:
                 if v not in get(u, ()):
                     raise InputError(f"{name}: edge {v}-{u} is one-sided")
         self.adj = adj
-        # rot, not adj: lists iterate faster than frozensets, and
-        # a run validates one skeleton per distinct (d, hi) it meets
+        # rot, not adj: lists iterate faster than frozensets
         if len(_reach(self.rot, self.ids[0])) != len(self.ids):
             raise InputError(f"{name}: drawing is not connected")
 
-    def _triangulate(self):
-        """Check the graph, read every corner once, and cache `third`
-        and `triangles` from the closed triangles.  Returns the open
-        corners and the corners off the closed triangles, each as
-        (u, v) -> w."""
-        self._check_graph()
+    def read_corners(self):
+        """Read every corner of a drawing whose `adj` is set, once, and
+        cache `third` and `triangles` from the closed triangles.
+        Returns the open and the closed corners, each as (u, v) -> w."""
         self.third = third = {}
         self.triangles = ()
         if len(self.ids) == 1:
@@ -124,29 +121,32 @@ class Configuration:
                 third[(w, u)] = v
                 tris.append((u, v, w))
         self.triangles = tuple(sorted(tris))
-        left = dict(opened)
-        if len(third) != len(closed):
-            for e, w in closed.items():
-                if e not in third:
-                    left[e] = w
-        return opened, left
+        return opened, closed
 
     def validate_light(self):
         """Adjacency and connectivity checks plus the corner map, with
         no demand that every region be a triangle.  Restrictions of
         valid drawings (where regions merge) go through here."""
-        self._triangulate()
+        self._check_graph()
+        self.read_corners()
         return self
 
     def validate(self):
         """Check the drawing and cache adjacency, triangles, and the
         outer walk.  Raises InputError on any defect."""
         name = self.name
-        opened, left = self._triangulate()
+        self._check_graph()
+        opened, closed = self.read_corners()
         self.outer = ()
         if len(self.ids) == 1:
             return self
-        # the faces left, each traced from its least edge
+        # the faces off the closed triangles, each traced from its
+        # least edge
+        left = dict(opened)
+        if len(self.third) != len(closed):
+            for e, w in closed.items():
+                if e not in self.third:
+                    left[e] = w
         rest = []
         for e0 in sorted(left):
             w = left.pop(e0, None)
@@ -380,11 +380,6 @@ def free_completion(cfg: Configuration):
     except InputError as e:
         raise InputError(
             f"{cfg.name}: completion is not a plane triangulation: {e.message}")
-    for v in ids:
-        if len(l0.rot[v]) != cfg.gamma[v]:
-            raise InputError(
-                f"{cfg.name}: vertex {v} completes to degree "
-                f"{len(l0.rot[v])}, labeled {cfg.gamma[v]}")
     return l0, tuple(ring)
 
 
@@ -426,11 +421,7 @@ def enhance(cfg: Configuration, l0: Configuration, ring):
         keep = set(ids) | {extra}
     rot, cyc = restrict_drawing(l0.rot, l0.cyclic, keep)
     gam = {v: l0.gamma[v] for v in keep}
-    j = Configuration(cfg.name + "+J", gam, rot, cyc)
-    try:
-        j.validate_light()
-    except InputError as e:
-        raise InputError(f"{cfg.name}: enhancement is degenerate: {e.message}")
+    j = Configuration(cfg.name + "+J", gam, rot, cyc).validate_light()
     if _cut_vertices(j.adj, j.ids):
         raise InputError(f"{cfg.name}: enhancement is not 2-connected")
     return j, extra

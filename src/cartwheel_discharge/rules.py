@@ -22,7 +22,7 @@ from functools import cached_property
 
 from . import _kernels
 from .axles import Axle, band_of, fan_row, is_fan_free, spoke_of
-from .errors import InputError, integers, records
+from .errors import InputError, InternalInvariantError, integers, records
 
 RULE_PARENTS = {
     2: (0, 1), 3: (1, 0), 4: (0, 2), 5: (3, 0), 6: (2, 1),
@@ -147,7 +147,10 @@ def cartwheel_rotation(p, pins, d):
     j = fan_row(p, d)
     k = pins.get(i)
     if k is None or j > k - 4:
-        raise InputError(f"fan position {p} without a pinned spoke {i}")
+        # the skeleton adds fan rows of pinned spokes only, and _embed
+        # reaches a fan only through a rotation that lists it
+        raise InternalInvariantError(
+            f"fan position {p} without a pinned spoke {i}")
     down = (j - 1) * d + i if j > 2 else hat_b
     up = (j + 1) * d + i if j < k - 4 else hat_a
     return [down, i, up], False

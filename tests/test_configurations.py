@@ -386,11 +386,41 @@ def test_completion_of_a_dot():
 
 
 def test_completion_reaches_every_label():
+    # free_completion splices gamma - deg ring vertices into a boundary
+    # vertex met once on the outer walk, one into each of the two
+    # corners of a vertex met twice (gamma - deg = 2 is checked), and
+    # none into an interior vertex (gamma = deg is validated).  So each
+    # labeled vertex of a completion has degree gamma: on the fixture
+    # database and on a seeded label and rotation fuzz of it
     for cfg in parse_configurations(CONFIGS_DB):
         l0, ring = free_completion(cfg)
         for v in cfg.ids:
             assert len(l0.rot[v]) == cfg.gamma[v]
         assert len(ring) >= 3
+    rng = random.Random("completion")
+    completed = split = 0
+    for cfg in parse_configurations(CONFIGS_DB):
+        for _ in range(300):
+            gamma = dict(cfg.gamma)
+            rot = {v: list(ws) for v, ws in cfg.rot.items()}
+            reset = rng.randint(1, min(3, len(cfg.ids)))
+            for v in rng.sample(cfg.ids, reset):
+                gamma[v] = rng.randint(1, 11)
+            lst = rot[rng.choice(cfg.ids)]
+            if len(lst) > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(len(lst)), 2)
+                lst[i], lst[j] = lst[j], lst[i]
+            try:
+                mutant = make_config(cfg.name, gamma, rot)
+                l0, _ = free_completion(mutant)
+            except InputError:
+                continue
+            for v in mutant.ids:
+                assert len(l0.rot[v]) == gamma[v], (cfg.name, gamma, rot)
+            completed += 1
+            walk = [v for _, v in mutant.outer]
+            split += any(walk.count(v) == 2 for v in mutant.ids)
+    assert completed >= 1000 and split >= 50, (completed, split)
 
 
 def test_completion_rejects_bad_boundary_split():

@@ -1,13 +1,14 @@
 """Skeleton drawings, placement checks, and the reducibility loop."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from _fixtures import CONFIGS_DB, CONFIGS_SMALL
 from cartwheel_discharge.axles import Axle, trivial_axle, validate_axle
-from cartwheel_discharge.configurations import load_database
+from cartwheel_discharge.configurations import Configuration, load_database
 from cartwheel_discharge.errors import ReducibilityFailure
 from cartwheel_discharge.oracles import random_axle
 from cartwheel_discharge.reducibility import (
@@ -87,6 +88,52 @@ def test_skeleton_drawings_keep_their_digest():
             h.update(repr(skel.triangles).encode())
     assert h.hexdigest() == (
         "128571de3150712f526a91c73ef8aae735d8327a1c7e0308220d7ce08cbd4312")
+
+
+def test_skeletons_are_built_without_validation(monkeypatch):
+    # the digest test again, with every validating method refusing
+    def refuse(self):
+        raise AssertionError(f"{self.name} was validated")
+
+    for method in ("validate", "validate_light", "_check_graph"):
+        monkeypatch.setattr(Configuration, method, refuse)
+    test_skeleton_drawings_keep_their_digest()
+
+
+PINS = (5, 6, 7, 8, 12)
+
+
+def _pin_patterns():
+    """(d, spoke pins): every pattern at d = 5 and 6, and at d = 7..11
+    every content of the four spokes across the wrap (d-1, d, 1, 2),
+    the spokes between them seeded."""
+    for d in (5, 6):
+        yield from ((d, pins) for pins in itertools.product(PINS, repeat=d))
+    rng = random.Random("wrap")
+    for d in range(7, 12):
+        for left, right, one, two in itertools.product(PINS, repeat=4):
+            between = [rng.choice(PINS) for _ in range(d - 4)]
+            yield d, (one, two, *between, left, right)
+
+
+def test_skeletons_match_validation_on_every_pin_pattern():
+    # skeleton_of builds its drawing without validating it; full
+    # validation must accept that drawing and find the same adjacency,
+    # corners and triangles.  The drawing depends only on the pins
+    # (every other position keeps bound 12, above its degree).
+    count = 0
+    for d, pins in _pin_patterns():
+        base = trivial_axle(d)
+        hi = bytearray(base.hi)
+        hi[1:d + 1] = pins
+        skel = skeleton_of(Axle(d, base.lo, bytes(hi)))
+        ref = Configuration(skel.name, skel.gamma, skel.rot,
+                            skel.cyclic).validate()
+        assert skel.adj == ref.adj, (d, pins)
+        assert skel.third == ref.third, (d, pins)
+        assert skel.triangles == ref.triangles, (d, pins)
+        count += 1
+    assert count == 5 ** 5 + 5 ** 6 + 5 * 5 ** 4
 
 
 def test_skeleton_and_placement_read_only_the_upper_bounds():

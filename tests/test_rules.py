@@ -4,9 +4,10 @@ rotation system and frozen here."""
 
 import pytest
 
-from cartwheel_discharge.errors import InputError
+from cartwheel_discharge.errors import InputError, InternalInvariantError
 from cartwheel_discharge.rules import (DerivedOutlet, Outlet, RuleSpec,
-                                       derive_outlets, diff_outlet_tables,
+                                       cartwheel_rotation, derive_outlets,
+                                       diff_outlet_tables,
                                        format_outlet_table,
                                        parse_outlet_table, parse_rules,
                                        validate_outlet)
@@ -112,6 +113,21 @@ def test_rule_with_colliding_slots_is_rejected():
     with pytest.raises(InputError) as e:
         rows(text, 7)
     assert "collides" in str(e.value)
+
+
+@pytest.mark.parametrize("p, pins", [
+    (2 * 7 + 1, {}),           # spoke 1 open
+    (2 * 7 + 1, {1: 5}),       # a degree-5 spoke has no fans
+    (3 * 7 + 1, {1: 6}),       # a degree-6 spoke has one fan row
+    (4 * 7 + 3, {1: 8, 3: 7}),
+], ids=["open", "five", "row-above-six", "row-above-seven"])
+def test_a_fan_without_its_pinned_spoke_is_an_engine_fault(p, pins):
+    # no caller asks for such a fan: the skeleton adds fan rows of
+    # pinned spokes only, and _embed reaches fans through the rotations
+    # that list them, so this is exit 3, not bad input
+    with pytest.raises(InternalInvariantError,
+                       match=f"fan position {p} without a pinned spoke"):
+        cartwheel_rotation(p, pins, 7)
 
 
 def test_demo_table_matches_hand_derivation():
