@@ -1,6 +1,11 @@
 """Labeled plane near-triangulations, their free completions,
 enhancements, and the probe sequences used to search skeletons.
 
+A database build plans each drawing's ring, and builds and validates it
+only for a single vertex or a cut vertex, whose enhancement reads it,
+or for a record the plan shows invalid, whose completion names the
+defect.
+
 A drawing is a rotation system: rot[v] lists the neighbors of v in
 clockwise order.  cyclic[v] tells whether that list is the full cycle
 (v is interior) or a linear run whose two ends flank the infinite
@@ -279,30 +284,13 @@ def centers(cfg: Configuration):
     return out
 
 
-def free_completion(cfg: Configuration):
-    """Extend the drawing by a surrounding ring so every labeled
-    vertex reaches its labeled degree.  Returns (completion, ring)."""
-    ids = cfg.ids
-    base = max(ids)
-    if len(ids) == 1:
-        v = ids[0]
-        g = cfg.gamma[v]
-        if g is None or g < 3:
-            raise InputError(f"{cfg.name}: cannot ring a vertex labeled {g}")
-        ring = [base + 1 + t for t in range(g)]
-        rot = {v: list(ring)}
-        gam = {v: g}
-        cyc = {v: True}
-        for t, q in enumerate(ring):
-            rot[q] = [ring[(t + 1) % g], v, ring[(t - 1) % g]]
-            gam[q] = None
-            cyc[q] = False
-        l0 = Configuration(cfg.name + "+ring", gam, rot, cyc)
-        l0.validate()
-        return l0, tuple(ring)
-
-    # corners of the infinite region, in walk order from the smallest
-    # directed edge of the outer face
+def _ring_plan(cfg: Configuration):
+    """The ring a free completion of cfg (at least two vertices) would
+    splice in: the corners (v, u, w) of the infinite region in walk
+    order from the smallest directed edge of the outer face, the count
+    k of ring vertices each corner receives, and the ring size m.
+    Raises InputError on a boundary vertex no ring can serve and on a
+    ring too short to be a circuit."""
     walk = list(cfg.outer)
     s = walk.index(min(walk))
     walk = walk[s:] + walk[:s]
@@ -333,6 +321,44 @@ def free_completion(cfg: Configuration):
     m = sum(k - 1 for k in ks)
     if m < 3:
         raise InputError(f"{cfg.name}: ring of {m} vertices is not a circuit")
+    return corners, ks, m
+
+
+def _needs_completion(cfg: Configuration):
+    """Whether a build reads cfg's completion: a single vertex or a cut
+    vertex (met twice on the outer walk) for `enhance`, or a fan of
+    k > m ring vertices, which repeats a neighbor.  Otherwise the
+    completion is valid by construction and cfg its own enhancement."""
+    if len(cfg.ids) == 1:
+        return True
+    corners, ks, m = _ring_plan(cfg)
+    return len({v for v, _, _ in corners}) < len(corners) or max(ks) > m
+
+
+def free_completion(cfg: Configuration):
+    """Extend the drawing by a surrounding ring so every labeled
+    vertex reaches its labeled degree.  Returns (completion, ring).
+    A build calls this only where `_needs_completion` holds."""
+    ids = cfg.ids
+    base = max(ids)
+    if len(ids) == 1:
+        v = ids[0]
+        g = cfg.gamma[v]
+        if g is None or g < 3:
+            raise InputError(f"{cfg.name}: cannot ring a vertex labeled {g}")
+        ring = [base + 1 + t for t in range(g)]
+        rot = {v: list(ring)}
+        gam = {v: g}
+        cyc = {v: True}
+        for t, q in enumerate(ring):
+            rot[q] = [ring[(t + 1) % g], v, ring[(t - 1) % g]]
+            gam[q] = None
+            cyc[q] = False
+        l0 = Configuration(cfg.name + "+ring", gam, rot, cyc)
+        l0.validate()
+        return l0, tuple(ring)
+
+    corners, ks, m = _ring_plan(cfg)
     ring = [base + 1 + t for t in range(m)]
     # corner j receives k_j consecutive ring vertices; consecutive
     # corners share one
@@ -519,8 +545,10 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
         cs = centers(cfg)
         if not cs:
             raise InputError(f"{cfg.name}: radius exceeds two")
-        l0, ring = free_completion(cfg)
-        j, extra = enhance(cfg, l0, ring)
+        if _needs_completion(cfg):
+            j, extra = enhance(cfg, *free_completion(cfg))
+        else:
+            j, extra = cfg, None
         q = make_question(cfg, j, extra, cs)
     except InputError as e:
         if e.line is None:

@@ -15,7 +15,8 @@ def skeleton_of(a: Axle) -> Configuration:
     """Drawing determined by the axle's upper bounds: the hub, the
     spokes, the hats, and fan rows for every spoke pinned to at most
     8.  Each position is labeled with its upper bound: d at the hub,
-    12 at an open spoke.  The drawing is valid by construction, so it
+    12 at an open spoke, and `by_label` lists each label's positions
+    in id order.  The drawing is valid by construction, so it
     is not validated: adjacency comes from the rotations and the
     corners from the one corner pass.  The pin-pattern sweep in the
     tests shows that it equals what `Configuration.validate` finds."""
@@ -27,10 +28,13 @@ def skeleton_of(a: Axle) -> Configuration:
     gamma = {}
     rot = {}
     cyc = {}
+    by_label = {}
     for p in sorted(positions):
-        gamma[p] = a.hi[p]
+        gamma[p] = g = a.hi[p]
+        by_label.setdefault(g, []).append(p)
         rot[p], cyc[p] = cartwheel_rotation(p, pins, d)
     skel = Configuration("skeleton", gamma, rot, cyc)
+    skel.by_label = by_label
     skel.adj = {p: frozenset(ws) for p, ws in rot.items()}
     skel.read_corners()
     return skel
@@ -104,9 +108,7 @@ def _positive_answers(question, skel: Configuration):
     x1 = question[1][3]
     z0 = question[0][2]
     z1 = question[1][2]
-    for p in skel.ids:
-        if x0 > 0 and gam[p] != x0:
-            continue
+    for p in skel.by_label.get(x0, ()) if x0 > 0 else skel.ids:
         for r in sorted(skel.adj[p]):
             if x1 > 0 and gam[r] != x1:
                 continue

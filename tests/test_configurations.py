@@ -1,5 +1,6 @@
 """Configuration parsing, completions, enhancements, and probe sequences."""
 
+import collections
 import hashlib
 import random
 
@@ -12,10 +13,14 @@ from _fixtures import (
     CONFIG_LONG_PATH,
     CONFIG_TRI666,
     CONFIGS_DB,
+    int_mutants,
     make_config,
 )
+from cartwheel_discharge import configurations
 from cartwheel_discharge.configurations import (
     Configuration,
+    _needs_completion,
+    _ring_plan,
     build_good_configuration,
     centers,
     enhance,
@@ -26,7 +31,7 @@ from cartwheel_discharge.configurations import (
     question_problems,
     reflect_question,
 )
-from cartwheel_discharge.errors import InputError
+from cartwheel_discharge.errors import CartwheelError, InputError
 from cartwheel_discharge.oracles import random_axle
 from cartwheel_discharge.reducibility import skeleton_of
 
@@ -385,6 +390,28 @@ def test_completion_of_a_dot():
     assert l0.rot[2] == [3, 1, 6]
 
 
+def _label_mutants(seed, count):
+    """`count` seeded label and rotation mutants of each fixture drawing,
+    those that still validate: up to three labels redrawn, and two
+    neighbors of one vertex swapped half the time."""
+    rng = random.Random(seed)
+    for cfg in parse_configurations(CONFIGS_DB):
+        for _ in range(count):
+            gamma = dict(cfg.gamma)
+            rot = {v: list(ws) for v, ws in cfg.rot.items()}
+            reset = rng.randint(1, min(3, len(cfg.ids)))
+            for v in rng.sample(cfg.ids, reset):
+                gamma[v] = rng.randint(1, 11)
+            lst = rot[rng.choice(cfg.ids)]
+            if len(lst) > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(len(lst)), 2)
+                lst[i], lst[j] = lst[j], lst[i]
+            try:
+                yield make_config(cfg.name, gamma, rot)
+            except InputError:
+                continue
+
+
 def test_completion_reaches_every_label():
     # free_completion splices gamma - deg ring vertices into a boundary
     # vertex met once on the outer walk, one into each of the two
@@ -397,30 +424,109 @@ def test_completion_reaches_every_label():
         for v in cfg.ids:
             assert len(l0.rot[v]) == cfg.gamma[v]
         assert len(ring) >= 3
-    rng = random.Random("completion")
     completed = split = 0
-    for cfg in parse_configurations(CONFIGS_DB):
-        for _ in range(300):
-            gamma = dict(cfg.gamma)
-            rot = {v: list(ws) for v, ws in cfg.rot.items()}
-            reset = rng.randint(1, min(3, len(cfg.ids)))
-            for v in rng.sample(cfg.ids, reset):
-                gamma[v] = rng.randint(1, 11)
-            lst = rot[rng.choice(cfg.ids)]
-            if len(lst) > 1 and rng.random() < 0.5:
-                i, j = rng.sample(range(len(lst)), 2)
-                lst[i], lst[j] = lst[j], lst[i]
-            try:
-                mutant = make_config(cfg.name, gamma, rot)
-                l0, _ = free_completion(mutant)
-            except InputError:
-                continue
-            for v in mutant.ids:
-                assert len(l0.rot[v]) == gamma[v], (cfg.name, gamma, rot)
-            completed += 1
-            walk = [v for _, v in mutant.outer]
-            split += any(walk.count(v) == 2 for v in mutant.ids)
+    for mutant in _label_mutants("completion", 300):
+        try:
+            l0, _ = free_completion(mutant)
+        except InputError:
+            continue
+        for v in mutant.ids:
+            assert len(l0.rot[v]) == mutant.gamma[v], (
+                mutant.name, mutant.gamma, mutant.rot)
+        completed += 1
+        walk = [v for _, v in mutant.outer]
+        split += any(walk.count(v) == 2 for v in mutant.ids)
     assert completed >= 1000 and split >= 50, (completed, split)
+
+
+def test_build_skips_only_completions_valid_by_construction():
+    # where the build takes no completion (every boundary vertex met
+    # once on the outer walk, every fan k <= m), the completion
+    # validates and cfg is its own enhancement; where the plan raises,
+    # the completion raises the same message
+    skipped = edge = 0
+    for mutant in _label_mutants("skip", 600):
+        try:
+            needed = _needs_completion(mutant)
+        except InputError as e:
+            with pytest.raises(InputError) as again:
+                free_completion(mutant)
+            assert again.value.message == e.message
+            continue
+        if needed:
+            continue
+        l0, ring = free_completion(mutant)
+        assert enhance(mutant, l0, ring) == (mutant, None)
+        _, ks, m = _ring_plan(mutant)
+        skipped += 1
+        edge += max(ks) == m
+    assert skipped >= 1000 and edge >= 20, (skipped, edge)
+
+
+def test_build_completes_only_where_the_ring_is_read(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError(f"{cfg.name} was completed")
+
+    # k == m: one fan takes all but one ring edge, the other fan the last
+    fits = "config edge35 2\nv 1 3 : 2\nv 2 5 : 1\nend\n"
+    assert _ring_plan(parse_one(fits))[1:] == ([4, 2], 4)
+    monkeypatch.setattr(configurations, "free_completion", refuse)
+    two_connected = CONFIG_EDGE55 + CONFIG_TRI666 + CONFIG_DIAMOND + fits
+    assert len(load_database(two_connected)) == 4
+
+    completed = []
+
+    def spy(cfg):
+        completed.append(cfg.name)
+        return free_completion(cfg)
+
+    monkeypatch.setattr(configurations, "free_completion", spy)
+    load_database(CONFIGS_DB)
+    assert completed == ["dot5", "bowtie"]
+    # k == m + 1: the fan wraps onto its own first ring vertex
+    wraps = "config edge66 2\nv 1 2 : 2\nv 2 6 : 1\nend\n"
+    assert _ring_plan(parse_one(wraps))[1:] == ([5, 1], 4)
+    with pytest.raises(InputError, match="edge66\\+ring: vertex 2 repeats"):
+        load_database(wraps)
+    assert completed[-1] == "edge66"
+
+
+def _record(name, gamma, rot):
+    """One configuration record in the database's text form."""
+    lines = [f"config {name} {len(rot)}"]
+    lines += [f"v {v} {gamma[v]} : {' '.join(map(str, ws))}"
+              for v, ws in rot.items()]
+    return "\n".join(lines + ["end", ""])
+
+
+def test_build_messages_on_a_fuzz_corpus_keep_their_digest():
+    # every +-1 integer mutant of the fixture database, and seeded
+    # structural and label mutants of each of its records, loaded in
+    # full against a digest taken from a build that completed and
+    # validated every record: skipping a completion must change no
+    # message, line or probe
+    corpus = [text for *_, text in int_mutants(CONFIGS_DB)]
+    rng = random.Random("build")
+    for cfg in parse_configurations(CONFIGS_DB):
+        for _ in range(150):
+            name, gamma, rot, _ = _mutant(cfg, rng)
+            corpus.append(_record(name, gamma, rot))
+    corpus += [_record(m.name, m.gamma, m.rot)
+               for m in _label_mutants("build", 300)]
+    h = hashlib.sha256()
+    kinds = collections.Counter()
+    for text in corpus:
+        try:
+            out = [(gc.name, gc.question) for gc in load_database(text)]
+        except CartwheelError as e:
+            out = (type(e).__name__, e.message, e.line)
+            kinds.update(k for k in ("not a plane triangulation",
+                                     "not a circuit", "splits the boundary")
+                         if k in e.message)
+        h.update(repr(out).encode())
+    assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
+    assert h.hexdigest() == (
+        "8375548bb3a818dc996d8c73e7df27f40249c1168d2aabe3c07811296956df23")
 
 
 def test_completion_rejects_bad_boundary_split():

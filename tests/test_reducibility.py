@@ -176,6 +176,43 @@ def test_positive_answer_lands_on_pinned_spokes(db):
     assert f[1] == 1 and f[2] == 2
 
 
+def _full_scan(question, skel):
+    """`_positive_answers` seeding z0 from a scan of every skeleton
+    vertex: the reference for its label index."""
+    gam = skel.gamma
+    (_, _, z0, x0), (_, _, z1, x1) = question[:2]
+    for p in skel.ids:
+        if x0 > 0 and gam[p] != x0:
+            continue
+        for r in sorted(skel.adj[p]):
+            if x1 > 0 and gam[r] != x1:
+                continue
+            f = {z0: p, z1: r}
+            used = {p, r}
+            for (u, v, z, xi) in question[2:]:
+                w = skel.third.get((f[u], f[v]))
+                if w is None or w in used or (xi > 0 and gam[w] != xi):
+                    break
+                f[z] = w
+                used.add(w)
+            else:
+                yield f
+
+
+def test_probes_seeded_by_label_match_a_full_scan():
+    fixtures = load_database(CONFIGS_DB)
+    found = 0
+    for d in range(5, 12):
+        for s in range(30):
+            skel = skeleton_of(random_axle(d, s))
+            for gc in fixtures:
+                for question in (gc.question, gc.reflection):
+                    got = list(_positive_answers(question, skel))
+                    assert got == list(_full_scan(question, skel)), (d, s)
+                    found += len(got)
+    assert found >= 1000, found
+
+
 def test_semi_reducible_returns_config_and_image(db):
     a = ax(7, {1: (6, 6), 2: (6, 6)})
     found = semi_reducible(a, db)
