@@ -10,9 +10,9 @@ from .axles import (Axle, NULL_CONDITION, axle_wedge_condition,
                     pos_add, symmetry_permutation, trivial_axle,
                     validate_axle)
 from .configurations import (Configuration, GoodConfiguration,
-                             build_good_configuration, free_completion,
-                             load_database, make_question,
-                             parse_configurations, reflect_question)
+                             build_good_configuration, load_database,
+                             make_question, parse_configurations,
+                             reflect_question)
 from .errors import (CartwheelError, InputError, InternalInvariantError,
                      ReducibilityFailure, VerificationFailure)
 from .hubcaps import check_bound, check_h2, check_hubcap, validate_hubcap
@@ -29,8 +29,8 @@ __all__ = [
     "condition_compatible", "is_fan_free", "negate_condition", "pos_add",
     "symmetry_permutation", "trivial_axle", "validate_axle",
     "Configuration", "GoodConfiguration", "build_good_configuration",
-    "free_completion", "load_database", "make_question",
-    "parse_configurations", "reflect_question", "CartwheelError",
+    "load_database", "make_question", "parse_configurations",
+    "reflect_question", "CartwheelError",
     "InputError", "InternalInvariantError", "ReducibilityFailure",
     "VerificationFailure", "check_bound", "check_h2", "check_hubcap",
     "validate_hubcap", "RunReport", "parse_presentation", "run_presentation",

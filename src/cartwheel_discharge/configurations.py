@@ -1,16 +1,18 @@
-"""Labeled plane near-triangulations, their free completions,
-enhancements, and the probe sequences used to search skeletons.
+"""Labeled plane near-triangulations, their enhancements, and the
+probe sequences used to search skeletons.
 
-A database build plans each drawing's ring, and builds and validates it
-only for a single vertex or a cut vertex, whose enhancement reads it,
-or for a record the plan shows invalid, whose completion names the
-defect.
+A database build plans each drawing's free completion, the ring of new
+vertices that brings every labeled vertex to its labeled degree, and
+never draws it.  The plan names every defect the drawn ring would show,
+and gives the enhancement J the probes run over: the drawing itself
+when 2-connected, else the drawing plus one ring vertex, for a single
+vertex or at a cut vertex.  `oracles.free_completion` draws and
+validates the ring, as the reference for both.
 
 A drawing is a rotation system: rot[v] lists the neighbors of v in
 clockwise order.  cyclic[v] tells whether that list is the full cycle
 (v is interior) or a linear run whose two ends flank the infinite
-region.  gamma[v] is the labeled degree; ring vertices added by
-completion carry None.
+region.  gamma[v] is the labeled degree; ring vertices carry None.
 
 The corner of a directed edge (u, v) sits at v, between u and w, the
 clockwise predecessor of u around v; the next edge of the same face is
@@ -30,29 +32,18 @@ from .errors import (InputError, InternalInvariantError, integers, records,
                      split_lines)
 
 
-def _reach(adj, start, avoid=None):
-    """Vertices reachable from start along edges that miss avoid; adj
-    maps each vertex to its neighbors."""
+def _reach(adj, start):
+    """Vertices reachable from start; adj maps each vertex to its
+    neighbors."""
     seen = {start}
     stack = [start]
     while stack:
         x = stack.pop()
         for y in adj[x]:
-            if y not in seen and y != avoid:
+            if y not in seen:
                 seen.add(y)
                 stack.append(y)
     return seen
-
-
-def _cut_vertices(adj, ids):
-    """Vertices of a connected drawing of at least two vertices whose
-    removal disconnects the rest, in id order."""
-    cuts = []
-    for v in ids:
-        start = ids[1] if v == ids[0] else ids[0]
-        if len(_reach(adj, start, v)) != len(ids) - 1:
-            cuts.append(v)
-    return cuts
 
 
 class Configuration:
@@ -284,7 +275,7 @@ def centers(cfg: Configuration):
     return out
 
 
-def _ring_plan(cfg: Configuration):
+def ring_plan(cfg: Configuration):
     """The ring a free completion of cfg (at least two vertices) would
     splice in: the corners (v, u, w) of the infinite region in walk
     order from the smallest directed edge of the outer face, the count
@@ -324,132 +315,68 @@ def _ring_plan(cfg: Configuration):
     return corners, ks, m
 
 
-def _needs_completion(cfg: Configuration):
-    """Whether a build reads cfg's completion: a single vertex or a cut
-    vertex (met twice on the outer walk) for `enhance`, or a fan of
-    k > m ring vertices, which repeats a neighbor.  Otherwise the
-    completion is valid by construction and cfg its own enhancement."""
-    if len(cfg.ids) == 1:
-        return True
-    corners, ks, m = _ring_plan(cfg)
-    return len({v for v, _, _ in corners}) < len(corners) or max(ks) > m
-
-
-def free_completion(cfg: Configuration):
-    """Extend the drawing by a surrounding ring so every labeled
-    vertex reaches its labeled degree.  Returns (completion, ring).
-    A build calls this only where `_needs_completion` holds."""
+def enhance(cfg: Configuration):
+    """The search drawing J and the vertex `extra` it adds to cfg, read
+    from the ring plan: (cfg, None) when cfg is 2-connected; for a
+    single vertex, J ties it to one new vertex; for one cut vertex, J
+    adds the lesser ring vertex of its two corners, which the fans of
+    the outer neighbors on either side share, one in each branch.
+    Raises InputError where the drawn ring would not validate, which is
+    only where some vertex's fans repeat a ring vertex."""
     ids = cfg.ids
-    base = max(ids)
+    name = cfg.name
+    extra = ids[-1] + 1
     if len(ids) == 1:
         v = ids[0]
         g = cfg.gamma[v]
         if g is None or g < 3:
-            raise InputError(f"{cfg.name}: cannot ring a vertex labeled {g}")
-        ring = [base + 1 + t for t in range(g)]
-        rot = {v: list(ring)}
-        gam = {v: g}
-        cyc = {v: True}
-        for t, q in enumerate(ring):
-            rot[q] = [ring[(t + 1) % g], v, ring[(t - 1) % g]]
-            gam[q] = None
-            cyc[q] = False
-        l0 = Configuration(cfg.name + "+ring", gam, rot, cyc)
-        l0.validate()
-        return l0, tuple(ring)
-
-    corners, ks, m = _ring_plan(cfg)
-    ring = [base + 1 + t for t in range(m)]
-    # corner j receives k_j consecutive ring vertices; consecutive
-    # corners share one
-    offs = []
-    o = 0
-    for k in ks:
-        offs.append(o)
-        o += k - 1
-    fans = [[ring[(offs[j] + t) % m] for t in range(ks[j])]
-            for j in range(len(ks))]
-
-    # the outer walk runs counter to the rotations, so a fan is spliced
-    # into its corner in reverse walk order
-    rot = {v: list(cfg.rot[v]) for v in ids}
-    for j, (v, u, w) in enumerate(corners):
-        lst = rot[v]
-        t = lst.index(u)
-        if t == 0:
-            lst.extend(reversed(fans[j]))
-        else:
-            if lst[t - 1] != w:
-                raise InternalInvariantError("corner flanks out of order")
-            lst[t:t] = reversed(fans[j])
-
-    # a ring vertex sees the corners whose fans hold it in walk order,
-    # except ring[0]: the corners at offset 0 open it and the last ones
-    # close it, and its rotation starts with the closing ones
-    owners = {q: [] for q in ring}
-    for (v, _, _), fan in zip(corners, fans):
-        for q in fan:
-            owners[q].append(v)
-    lead = offs.count(0)
-    owners[ring[0]] = owners[ring[0]][lead:] + owners[ring[0]][:lead]
-    for idx, q in enumerate(ring):
-        rot[q] = [ring[(idx - 1) % m]] + owners[q] + [ring[(idx + 1) % m]]
-
-    gam = {v: cfg.gamma[v] for v in ids}
-    cyc = {v: True for v in ids}
-    for q in ring:
-        gam[q] = None
-        cyc[q] = False
-    l0 = Configuration(cfg.name + "+ring", gam, rot, cyc)
-    try:
-        l0.validate()
-    except InputError as e:
-        raise InputError(
-            f"{cfg.name}: completion is not a plane triangulation: {e.message}")
-    return l0, tuple(ring)
-
-
-def enhance(cfg: Configuration, l0: Configuration, ring):
-    """The search drawing J: the configuration itself when 2-connected,
-    else augmented by one ring vertex tying the branches together.
-    Returns (J, extra) with extra the added vertex or None."""
-    ids = cfg.ids
-    if len(ids) == 1:
-        v = ids[0]
-        extra = ring[0]
-        keep = {v, extra}
+            raise InputError(f"{name}: cannot ring a vertex labeled {g}")
+        rot = {v: [extra], extra: [v]}
     else:
-        cuts = _cut_vertices(cfg.adj, ids)
-        if not cuts:
+        corners, ks, m = ring_plan(cfg)
+        if len({v for v, _, _ in corners}) == len(corners) and max(ks) <= m:
             return cfg, None
+        # fan t holds ring offsets offs[t] .. offs[t] + ks[t] - 1 (mod m)
+        offs = []
+        o = 0
+        for k in ks:
+            offs.append(o)
+            o += k - 1
+        fans = [[(o + t) % m for t in range(k)] for o, k in zip(offs, ks)]
+        at = {}
+        for t, (v, _, _) in enumerate(corners):
+            at.setdefault(v, []).append(t)
+        for v in sorted(at):
+            held = [r for t in at[v] for r in fans[t]]
+            if len(set(held)) < len(held):
+                raise InputError(
+                    f"{name}: completion is not a plane triangulation: "
+                    f"{name}+ring: vertex {v} repeats a neighbor")
+        cuts = [v for v in sorted(at) if len(at[v]) == 2]
         if len(cuts) != 1:
             raise InputError(
-                f"{cfg.name}: {len(cuts)} cut vertices, expected exactly one")
-        v = cuts[0]
-        comps = []
-        left = set(ids) - {v}
-        while left:
-            comp = _reach(cfg.adj, min(left), v)
-            comps.append(comp)
-            left -= comp
-        ringset = set(ring)
-        candidates = []
-        for r in l0.rot[v]:
-            if r not in ringset:
-                continue
-            touch = set(l0.adj[r]) - ringset
-            if all(comp & touch for comp in comps):
-                candidates.append(r)
-        if not candidates:
-            raise InputError(
-                f"{cfg.name}: no ring vertex ties the branches together")
-        extra = min(candidates)
-        keep = set(ids) | {extra}
-    rot, cyc = restrict_drawing(l0.rot, l0.cyclic, keep)
-    gam = {v: l0.gamma[v] for v in keep}
-    j = Configuration(cfg.name + "+J", gam, rot, cyc).validate_light()
-    if _cut_vertices(j.adj, j.ids):
-        raise InputError(f"{cfg.name}: enhancement is not 2-connected")
+                f"{name}: {len(cuts)} cut vertices, expected exactly one")
+        r = min(fans[t][0] for t in at[cuts[0]])
+        extra += r
+        # the outer walk runs counter to the rotations, so extra goes
+        # into each owner's corner just before u; its own rotation lists
+        # the owners in walk order, except that ring[0] opens at offset
+        # 0 and closes at m, and lists the closing owners first
+        owners = [t for t in range(len(corners)) if r in fans[t]]
+        if r == 0:
+            lead = offs.count(0)
+            owners = owners[lead:] + owners[:lead]
+        rot = {v: list(cfg.rot[v]) for v in ids}
+        for t in owners:
+            v, u, _ = corners[t]
+            lst = rot[v]
+            lst.insert(lst.index(u) or len(lst), extra)
+        rot[extra] = [corners[t][0] for t in owners]
+    gam = dict(cfg.gamma)
+    gam[extra] = None
+    cyc = dict.fromkeys(ids, True)
+    cyc[extra] = False
+    j = Configuration(name + "+J", gam, rot, cyc).validate_light()
     return j, extra
 
 
@@ -497,36 +424,6 @@ def reflect_question(question):
         (v, u, z, xi) for (u, v, z, xi) in question[2:])
 
 
-def question_problems(question, cfg, jcfg, extra):
-    """Static checks on a probe sequence; empty list when sound."""
-    probs = []
-    zs = [q[2] for q in question]
-    if len(set(zs)) != len(zs):
-        probs.append("repeated probe vertex")
-    if not set(cfg.ids) <= set(zs):
-        probs.append("probes do not cover the labeled drawing")
-    if len(question) < 2:
-        probs.append("fewer than two seed probes")
-        return probs
-    z0, z1 = question[0][2], question[1][2]
-    if len(cfg.ids) == 1:
-        if z1 != extra or question[1][3] != 0:
-            probs.append("isolated drawing must seed on its ring neighbor")
-    elif z1 not in cfg.adj.get(z0, frozenset()):
-        probs.append("seed pair not adjacent")
-    for t, (u, v, z, xi) in enumerate(question):
-        want = 0 if z == extra else cfg.gamma.get(z)
-        if xi != want:
-            probs.append(f"probe {t} carries label {xi}, vertex has {want}")
-        if t < 2:
-            continue
-        if u not in zs[:t] or v not in zs[:t]:
-            probs.append(f"probe {t} leans on unplaced vertices")
-        if jcfg.third.get((u, v)) != z:
-            probs.append(f"probe {t} is not a clockwise corner")
-    return probs
-
-
 @dataclass(frozen=True)
 class GoodConfiguration:
     config: Configuration
@@ -545,19 +442,11 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
         cs = centers(cfg)
         if not cs:
             raise InputError(f"{cfg.name}: radius exceeds two")
-        if _needs_completion(cfg):
-            j, extra = enhance(cfg, *free_completion(cfg))
-        else:
-            j, extra = cfg, None
-        q = make_question(cfg, j, extra, cs)
+        q = make_question(cfg, *enhance(cfg), cs)
     except InputError as e:
         if e.line is None:
             e.line = cfg.line
         raise
-    probs = question_problems(q, cfg, j, extra)
-    if probs:
-        raise InternalInvariantError(
-            f"{cfg.name}: generated probes fail their checks: {probs}")
     return GoodConfiguration(cfg, q, reflect_question(q))
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 import random
 
 from .axles import Axle, trivial_axle
-from .errors import InputError
+from .configurations import Configuration, ring_plan
+from .errors import InputError, InternalInvariantError
 from .rules import Outlet
 
 
@@ -93,6 +94,104 @@ def brute_force_bound(a: Axle, positioned, reducer):
         if best is None or total > best:
             best = total
     return best
+
+
+# ------------------------------------------------------- configurations
+
+def free_completion(cfg: Configuration):
+    """The drawn ring: extend the drawing by a surrounding ring so every
+    labeled vertex reaches its labeled degree, and validate the result.
+    Returns (completion, ring).  The reference for `enhance`, which
+    reads J from the same `ring_plan` without drawing the ring: J is
+    this drawing restricted to cfg and `extra`, and wherever this
+    raises, `enhance` raises the same message."""
+    ids = cfg.ids
+    base = max(ids)
+    if len(ids) == 1:
+        v = ids[0]
+        g = cfg.gamma[v]
+        if g is None or g < 3:
+            raise InputError(f"{cfg.name}: cannot ring a vertex labeled {g}")
+        ring = [base + 1 + t for t in range(g)]
+        rot = {v: list(ring)}
+        gam = {v: g}
+        cyc = {v: True}
+        for t, q in enumerate(ring):
+            rot[q] = [ring[(t + 1) % g], v, ring[(t - 1) % g]]
+            gam[q] = None
+            cyc[q] = False
+        l0 = Configuration(cfg.name + "+ring", gam, rot, cyc)
+        l0.validate()
+        return l0, tuple(ring)
+
+    corners, ks, m = ring_plan(cfg)
+    ring = [base + 1 + t for t in range(m)]
+    # corner j receives k_j consecutive ring vertices; consecutive
+    # corners share one
+    offs = []
+    o = 0
+    for k in ks:
+        offs.append(o)
+        o += k - 1
+    fans = [[ring[(offs[j] + t) % m] for t in range(ks[j])]
+            for j in range(len(ks))]
+
+    # the outer walk runs counter to the rotations, so a fan is spliced
+    # into its corner in reverse walk order
+    rot = {v: list(cfg.rot[v]) for v in ids}
+    for j, (v, u, w) in enumerate(corners):
+        lst = rot[v]
+        t = lst.index(u)
+        if t == 0:
+            lst.extend(reversed(fans[j]))
+        else:
+            if lst[t - 1] != w:
+                raise InternalInvariantError("corner flanks out of order")
+            lst[t:t] = reversed(fans[j])
+
+    # a ring vertex sees the corners whose fans hold it in walk order,
+    # except ring[0]: the corners at offset 0 open it and the last ones
+    # close it, and its rotation starts with the closing ones
+    owners = {q: [] for q in ring}
+    for (v, _, _), fan in zip(corners, fans):
+        for q in fan:
+            owners[q].append(v)
+    lead = offs.count(0)
+    owners[ring[0]] = owners[ring[0]][lead:] + owners[ring[0]][:lead]
+    for idx, q in enumerate(ring):
+        rot[q] = [ring[(idx - 1) % m]] + owners[q] + [ring[(idx + 1) % m]]
+
+    gam = {v: cfg.gamma[v] for v in ids}
+    cyc = {v: True for v in ids}
+    for q in ring:
+        gam[q] = None
+        cyc[q] = False
+    l0 = Configuration(cfg.name + "+ring", gam, rot, cyc)
+    try:
+        l0.validate()
+    except InputError as e:
+        raise InputError(
+            f"{cfg.name}: completion is not a plane triangulation: {e.message}")
+    return l0, tuple(ring)
+
+
+def cut_vertices(rot):
+    """Vertices of a connected drawing of at least two vertices, given
+    by its rotations, whose removal disconnects the rest, in id order,
+    by one search per vertex."""
+    cuts = []
+    for v in sorted(rot):
+        rest = [u for u in rot if u != v]
+        seen = {rest[0]}
+        stack = [rest[0]]
+        while stack:
+            for y in rot[stack.pop()]:
+                if y != v and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) < len(rest):
+            cuts.append(v)
+    return cuts
 
 
 # ----------------------------------------------------------- placements

@@ -189,6 +189,9 @@ def run_presentation(degree, lines, table, db, trace=None):
     # the conditions of its path alone (None once they clash)
     start = trivial_axle(degree)
     frames = [(start, start)]
+    # a split at level l holds the pool entry of the side that takes its
+    # condition until a disposition at level l + 1 closes that side
+    held = []
     pool = []
     report = RunReport(degree)
     # the memos die with this run, so no verdict outlives its database
@@ -213,9 +216,13 @@ def run_presentation(degree, lines, table, db, trace=None):
                     f"negated condition {neg} incompatible alongside {c}")
             hi_branch = axle_wedge_condition(a, c)
             lo_branch = axle_wedge_condition(a, neg)
-            frames[level:] = [(lo_branch, path),
-                              (hi_branch, _pool_branch(pool, path, c, ln))]
-            report.pool_peak = max(report.pool_peak, len(pool))
+            taken = _path_branch(path, c)
+            frames[level:] = [(lo_branch, path), (hi_branch, taken)]
+            held[level:] = [PoolEntry(ln.no, level, taken)
+                            if taken is not None and is_fan_free(taken)
+                            else None]
+            report.pool_peak = max(report.pool_peak,
+                                   len(pool) + len(held) - held.count(None))
             report.branches += 1
             if trace is not None:
                 trace.append(f"line {ln.no} level {level} C {c[0]} {c[1]} "
@@ -246,16 +253,22 @@ def run_presentation(degree, lines, table, db, trace=None):
         while keep > 0 and pool[keep - 1].level >= level:
             keep -= 1
         del pool[keep:]
+        if level:
+            _pool_branch(pool, held.pop())
     return report
 
 
-def _pool_branch(pool, path, c, ln):
+def _path_branch(path, c):
     """Path branch of the side of a split that takes condition c: the
-    parent's path wedged with c, or None once the chain breaks.  It is
-    pooled for later symmetry appeals when it is fan-free."""
+    parent's path wedged with c, or None once the chain breaks."""
     if path is None or not condition_compatible(path, c):
         return None
-    path = axle_wedge_condition(path, c)
-    if is_fan_free(path):
-        pool.append(PoolEntry(ln.no, ln.level, path))
-    return path
+    return axle_wedge_condition(path, c)
+
+
+def _pool_branch(pool, entry):
+    """Pool a held entry for later symmetry appeals, now that the side
+    of the split it stands for is disposed of; a side whose path broke
+    or carries fan bounds has none."""
+    if entry is not None:
+        pool.append(entry)

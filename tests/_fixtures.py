@@ -200,3 +200,34 @@ def int_mutants(text):
                 new_lines = lines[:]
                 new_lines[li] = " ".join(mutated)
                 yield li + 1, pi, delta, "\n".join(new_lines) + "\n"
+
+
+def question_problems(question, cfg, jcfg, extra):
+    """Static checks on a probe sequence built over the enhancement
+    (jcfg, extra) of cfg; empty list when sound."""
+    probs = []
+    zs = [q[2] for q in question]
+    if len(set(zs)) != len(zs):
+        probs.append("repeated probe vertex")
+    if not set(cfg.ids) <= set(zs):
+        probs.append("probes do not cover the labeled drawing")
+    if len(question) < 2:
+        probs.append("fewer than two seed probes")
+        return probs
+    z0, z1 = question[0][2], question[1][2]
+    if len(cfg.ids) == 1:
+        if z1 != extra or question[1][3] != 0:
+            probs.append("isolated drawing must seed on its ring neighbor")
+    elif z1 not in cfg.adj.get(z0, frozenset()):
+        probs.append("seed pair not adjacent")
+    for t, (u, v, z, xi) in enumerate(question):
+        want = 0 if z == extra else cfg.gamma.get(z)
+        if xi != want:
+            probs.append(f"probe {t} carries label {xi}, vertex has {want}")
+        if t < 2:
+            continue
+        if u not in zs[:t] or v not in zs[:t]:
+            probs.append(f"probe {t} leans on unplaced vertices")
+        if jcfg.third.get((u, v)) != z:
+            probs.append(f"probe {t} is not a clockwise corner")
+    return probs

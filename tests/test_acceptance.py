@@ -16,6 +16,7 @@ from _fixtures import (
     RULES_EMPTY,
     int_mutants,
     make_config,
+    question_problems,
     run_cli,
     write,
 )
@@ -32,10 +33,8 @@ from cartwheel_discharge.configurations import (
     build_good_configuration,
     centers,
     enhance,
-    free_completion,
     load_database,
     parse_configurations,
-    question_problems,
 )
 from cartwheel_discharge.errors import VerificationFailure
 from cartwheel_discharge.hubcaps import BoundContext, check_bound
@@ -353,7 +352,7 @@ def test_configuration_database_properties():
         assert centers(cfg)
         assert all(g <= 11 for g in cfg.gamma.values())
     for gc in load_database(CONFIGS_DB):
-        j, extra = enhance(gc.config, *free_completion(gc.config))
+        j, extra = enhance(gc.config)
         assert question_problems(gc.question, gc.config, j, extra) == []
 
     def renamed(k):

@@ -225,6 +225,33 @@ def test_verify_failure_on_evicted_symmetry(files):
         "verification failed: line 6: symmetry appeal does not cover")
 
 
+def _appeal_to_its_own_split():
+    """Seven splits whose taking side each closes by citing the split's
+    own line; the first such appeal is on line 3."""
+    lines = ["degree 7"]
+    for i in range(1, 8):
+        lines.append(f"0 C {i} -6")
+        lines.append(f"1 S 0 0 0 {len(lines)}")
+    return "\n".join(lines + [f"0 H {ZERO_TRIPLES_7}", ""])
+
+
+@pytest.mark.parametrize("text, line", [
+    (_appeal_to_its_own_split(), 3),
+    ("degree 7\n0 C 1 -6\n1 C 2 -6\n2 S 0 0 0 2\n", 4),
+], ids=["own-split", "open-grandparent"])
+def test_verify_rejects_an_appeal_to_an_open_branch(files, tmp_path, text,
+                                                    line):
+    # an S step may cite only a branch already disposed of; a branch
+    # still open covers itself and proves nothing
+    pres = write(tmp_path, "open.pres", text)
+    code, out, err = run_cli(["verify", "-d", "7", "-r", files["rules_tiny"],
+                              "-p", pres, "-c", files["configs_empty"]])
+    assert code == 1
+    assert err == (f"verification failed: line {line}: symmetry appeal "
+                   f"does not cover the branch\n")
+    assert out == ""
+
+
 @pytest.mark.parametrize("module", ["cartwheel_discharge",
                                     "cartwheel_discharge.cli"])
 def test_module_forms_match_the_entry_point(files, tmp_path, module):

@@ -15,24 +15,26 @@ from _fixtures import (
     CONFIGS_DB,
     int_mutants,
     make_config,
+    question_problems,
 )
-from cartwheel_discharge import configurations
 from cartwheel_discharge.configurations import (
     Configuration,
-    _needs_completion,
-    _ring_plan,
     build_good_configuration,
     centers,
     enhance,
-    free_completion,
     load_database,
     make_question,
     parse_configurations,
-    question_problems,
     reflect_question,
+    restrict_drawing,
+    ring_plan,
 )
 from cartwheel_discharge.errors import CartwheelError, InputError
-from cartwheel_discharge.oracles import random_axle
+from cartwheel_discharge.oracles import (
+    cut_vertices,
+    free_completion,
+    random_axle,
+)
 from cartwheel_discharge.reducibility import skeleton_of
 
 
@@ -40,11 +42,6 @@ def parse_one(text):
     cfgs = parse_configurations(text)
     assert len(cfgs) == 1
     return cfgs[0]
-
-
-def enhancement(cfg):
-    """(J, extra) of cfg, rebuilt as build_good_configuration builds it."""
-    return enhance(cfg, *free_completion(cfg))
 
 
 # -------------------------------------------------------------- parsing
@@ -343,7 +340,7 @@ def test_validation_of_mutants_keeps_its_digest():
         "054ffe656be6ff463b7267b2f5627d9a41fae1c39f7e17c1d4753b5335669bee")
 
 
-# ------------------------------------------------------ free completion
+# ---------------------------------------- the drawn ring, in oracles.py
 
 def test_completion_of_an_edge_golden():
     cfg = parse_one(CONFIG_EDGE55)
@@ -440,55 +437,86 @@ def test_completion_reaches_every_label():
 
 
 def test_build_skips_only_completions_valid_by_construction():
-    # where the build takes no completion (every boundary vertex met
-    # once on the outer walk, every fan k <= m), the completion
-    # validates and cfg is its own enhancement; where the plan raises,
-    # the completion raises the same message
+    # where enhance returns cfg itself (every boundary vertex met once
+    # on the outer walk, every fan k <= m), the drawn ring validates and
+    # cfg has no cut vertex
     skipped = edge = 0
     for mutant in _label_mutants("skip", 600):
         try:
-            needed = _needs_completion(mutant)
-        except InputError as e:
-            with pytest.raises(InputError) as again:
-                free_completion(mutant)
-            assert again.value.message == e.message
+            j, extra = enhance(mutant)
+        except InputError:
             continue
-        if needed:
+        if extra is not None:
             continue
-        l0, ring = free_completion(mutant)
-        assert enhance(mutant, l0, ring) == (mutant, None)
-        _, ks, m = _ring_plan(mutant)
+        assert j is mutant
+        free_completion(mutant)
+        assert cut_vertices(mutant.rot) == []
+        _, ks, m = ring_plan(mutant)
         skipped += 1
         edge += max(ks) == m
     assert skipped >= 1000 and edge >= 20, (skipped, edge)
-
-
-def test_build_completes_only_where_the_ring_is_read(monkeypatch):
-    def refuse(cfg):
-        raise AssertionError(f"{cfg.name} was completed")
-
     # k == m: one fan takes all but one ring edge, the other fan the last
-    fits = "config edge35 2\nv 1 3 : 2\nv 2 5 : 1\nend\n"
-    assert _ring_plan(parse_one(fits))[1:] == ([4, 2], 4)
-    monkeypatch.setattr(configurations, "free_completion", refuse)
-    two_connected = CONFIG_EDGE55 + CONFIG_TRI666 + CONFIG_DIAMOND + fits
-    assert len(load_database(two_connected)) == 4
-
-    completed = []
-
-    def spy(cfg):
-        completed.append(cfg.name)
-        return free_completion(cfg)
-
-    monkeypatch.setattr(configurations, "free_completion", spy)
-    load_database(CONFIGS_DB)
-    assert completed == ["dot5", "bowtie"]
+    fits = parse_one("config edge35 2\nv 1 3 : 2\nv 2 5 : 1\nend\n")
+    assert ring_plan(fits)[1:] == ([4, 2], 4)
+    assert enhance(fits) == (fits, None)
     # k == m + 1: the fan wraps onto its own first ring vertex
-    wraps = "config edge66 2\nv 1 2 : 2\nv 2 6 : 1\nend\n"
-    assert _ring_plan(parse_one(wraps))[1:] == ([5, 1], 4)
+    wraps = parse_one("config edge66 2\nv 1 2 : 2\nv 2 6 : 1\nend\n")
+    assert ring_plan(wraps)[1:] == ([5, 1], 4)
     with pytest.raises(InputError, match="edge66\\+ring: vertex 2 repeats"):
-        load_database(wraps)
-    assert completed[-1] == "edge66"
+        enhance(wraps)
+
+
+def test_enhancement_is_the_drawn_ring_restricted():
+    # the reference draws and validates the ring.  Where it raises,
+    # enhance raises the same message.  Where it validates, the cut
+    # vertices are the vertices met twice on the outer walk; with more
+    # than one, enhance refuses the record.  Otherwise J is the drawing
+    # restricted to cfg and extra, and 2-connected, and extra is the
+    # lesser ring neighbor of the cut vertex, each of which ties the
+    # branches together
+    drawings = list(_label_mutants("restrict", 300))
+    for text in _lattice_patches("restrict", 1500):
+        try:
+            drawings += parse_configurations(text)
+        except InputError:
+            continue
+    seen = collections.Counter()
+    for cfg in drawings:
+        try:
+            l0, ring = free_completion(cfg)
+        except InputError as e:
+            with pytest.raises(InputError) as again:
+                enhance(cfg)
+            assert again.value.message == e.message
+            seen["raised"] += 1
+            continue
+        cuts = cut_vertices(cfg.rot) if len(cfg.ids) > 1 else []
+        walk = [v for _, v in cfg.outer]
+        assert cuts == sorted(v for v in set(walk) if walk.count(v) == 2)
+        if len(cuts) > 1:
+            with pytest.raises(InputError) as e:
+                enhance(cfg)
+            assert e.value.message == (
+                f"{cfg.name}: {len(cuts)} cut vertices, expected exactly one")
+            seen["cuts"] += 1
+            continue
+        j, extra = enhance(cfg)
+        if extra is None:
+            assert j is cfg and not cuts and len(cfg.ids) > 1
+            continue
+        rot, cyc = restrict_drawing(l0.rot, l0.cyclic, set(cfg.ids) | {extra})
+        assert (j.rot, j.cyclic) == (rot, cyc), cfg.name
+        assert cut_vertices(j.rot) == []
+        if cuts:
+            near = [q for q in l0.rot[cuts[0]] if q in ring]
+            assert extra == min(near)
+            for q in near:
+                tied = restrict_drawing(l0.rot, l0.cyclic, set(cfg.ids) | {q})
+                assert cut_vertices(tied[0]) == []
+            seen["cut"] += 1
+        else:
+            seen["dot"] += 1
+    assert all(seen[k] >= 50 for k in ("raised", "cuts", "cut", "dot")), seen
 
 
 def _record(name, gamma, rot):
@@ -497,6 +525,58 @@ def _record(name, gamma, rot):
     lines += [f"v {v} {gamma[v]} : {' '.join(map(str, ws))}"
               for v, ws in rot.items()]
     return "\n".join(lines + ["end", ""])
+
+
+# the six directions of the triangular lattice, clockwise
+_STEPS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
+
+
+def _lattice_patches(seed, count):
+    """`count` seeded records cut from the triangular lattice: the origin
+    and up to nine more points within two steps of it, each added next
+    to one already taken.  A point's neighbors in the patch are listed
+    clockwise from just after its first missing direction; a point with
+    all six is labeled its degree, any other its degree plus one to
+    five, most often two, the only label a cut vertex takes."""
+    rng = random.Random(seed)
+    for t in range(count):
+        pts = [(0, 0)]
+        for _ in range(rng.randint(0, 9)):
+            while True:
+                x, y = rng.choice(pts)
+                dx, dy = rng.choice(_STEPS)
+                p = (x + dx, y + dy)
+                if p not in pts and max(map(abs, (*p, sum(p)))) <= 2:
+                    break
+            pts.append(p)
+        ids = {p: v for v, p in enumerate(pts, 1)}
+        gamma = {}
+        rot = {}
+        for (x, y), v in ids.items():
+            near = [(x + dx, y + dy) for dx, dy in _STEPS]
+            gaps = [s for s, q in enumerate(near) if q not in ids]
+            if gaps:
+                s = gaps[0] + 1
+                near = near[s:] + near[:s]
+            rot[v] = [ids[q] for q in near if q in ids]
+            gamma[v] = len(rot[v])
+            if gaps:
+                gamma[v] += rng.choice((1, 2, 2, 2, 2, 3, 5))
+        yield _record(f"lat{t}", gamma, rot)
+
+
+def _build_outcome(text):
+    """`load_database`'s outcome on text: the built names and probe
+    sequences, each sequence checked against its enhancement, or the
+    error's class, message and line."""
+    try:
+        db = load_database(text)
+    except CartwheelError as e:
+        return (type(e).__name__, e.message, e.line)
+    for gc in db:
+        assert question_problems(gc.question, gc.config,
+                                 *enhance(gc.config)) == []
+    return [(gc.name, gc.question) for gc in db]
 
 
 def test_build_messages_on_a_fuzz_corpus_keep_their_digest():
@@ -516,30 +596,53 @@ def test_build_messages_on_a_fuzz_corpus_keep_their_digest():
     h = hashlib.sha256()
     kinds = collections.Counter()
     for text in corpus:
-        try:
-            out = [(gc.name, gc.question) for gc in load_database(text)]
-        except CartwheelError as e:
-            out = (type(e).__name__, e.message, e.line)
+        out = _build_outcome(text)
+        if isinstance(out, tuple):
             kinds.update(k for k in ("not a plane triangulation",
                                      "not a circuit", "splits the boundary")
-                         if k in e.message)
+                         if k in out[1])
         h.update(repr(out).encode())
     assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
     assert h.hexdigest() == (
         "8375548bb3a818dc996d8c73e7df27f40249c1168d2aabe3c07811296956df23")
 
 
+def test_build_messages_on_lattice_patches_keep_their_digest():
+    # lattice patches reach what mutants of the fixture records rarely
+    # do: a cut vertex, more than one, and a ring repeat at a cut
+    # vertex.  The digest was taken from a build that drew and
+    # validated every ring it read
+    h = hashlib.sha256()
+    kinds = collections.Counter()
+    for text in _lattice_patches("lattice", 4000):
+        out = _build_outcome(text)
+        h.update(repr(out).encode())
+        if isinstance(out, list):
+            kinds["enhanced"] += any(p[3] == 0 for p in out[0][1][2:])
+            continue
+        kinds.update(k for k in ("cut vertices", "not a plane triangulation")
+                     if k in out[1])
+        if out[1].endswith("repeats a neighbor"):
+            cfg = parse_one(text)
+            v = int(out[1].split()[-4])
+            kinds["repeat at a cut vertex"] += [
+                w for _, w in cfg.outer].count(v) == 2
+    assert min(kinds.values()) >= 50 and len(kinds) == 4, kinds
+    assert h.hexdigest() == (
+        "9d50d6d52aedb5531e2b234cc50a98acf56878cd23199617254ac91b1450e6cf")
+
+
 def test_completion_rejects_bad_boundary_split():
     rot = {1: [2, 3, 4, 5], 2: [3, 1], 3: [1, 2], 4: [5, 1], 5: [1, 4]}
     cfg = make_config("fatbow", {1: 7, 2: 5, 3: 5, 4: 5, 5: 5}, rot)
     with pytest.raises(InputError, match="splits the boundary.*labeled 7"):
-        free_completion(cfg)
+        enhance(cfg)
 
 
 def test_completion_rejects_short_ring():
     cfg = parse_one("config edge33 2\nv 1 3 : 2\nv 2 3 : 1\nend\n")
     with pytest.raises(InputError, match="ring of 2 vertices"):
-        free_completion(cfg)
+        enhance(cfg)
 
 
 def test_completion_rejects_triple_boundary_visit():
@@ -548,7 +651,7 @@ def test_completion_rejects_triple_boundary_visit():
     gamma = {1: 9, 2: 5, 3: 5, 4: 5, 5: 5, 6: 5, 7: 5}
     cfg = make_config("triforce", gamma, rot)
     with pytest.raises(InputError, match="touches the infinite region 3"):
-        free_completion(cfg)
+        enhance(cfg)
 
 
 # ------------------------------------------------ enhancement and probes
@@ -556,15 +659,13 @@ def test_completion_rejects_triple_boundary_visit():
 def test_enhance_keeps_two_connected_drawings():
     for text in (CONFIG_TRI666, CONFIG_DIAMOND):
         cfg = parse_one(text)
-        l0, ring = free_completion(cfg)
-        j, extra = enhance(cfg, l0, ring)
+        j, extra = enhance(cfg)
         assert j is cfg and extra is None
 
 
 def test_enhance_ties_the_bowtie_with_one_ring_vertex():
     cfg = parse_one(CONFIG_BOWTIE)
-    l0, ring = free_completion(cfg)
-    j, extra = enhance(cfg, l0, ring)
+    j, extra = enhance(cfg)
     assert extra == 6
     assert sorted(j.ids) == [1, 2, 3, 4, 5, 6]
     assert j.adj[6] == frozenset({1, 3, 4})
@@ -572,10 +673,9 @@ def test_enhance_ties_the_bowtie_with_one_ring_vertex():
 
 def test_enhance_gives_the_dot_a_companion():
     cfg = parse_one("config dot5 1\nv 1 5 :\nend\n")
-    l0, ring = free_completion(cfg)
-    j, extra = enhance(cfg, l0, ring)
+    j, extra = enhance(cfg)
     assert extra == 2
-    assert sorted(j.ids) == [1, 2]
+    assert j.rot == {1: [2], 2: [1]}
 
 
 def test_enhance_rejects_more_than_one_cut_vertex():
@@ -584,11 +684,10 @@ def test_enhance_rejects_more_than_one_cut_vertex():
            5: [3, 4, 6, 7], 6: [7, 5], 7: [5, 6]}
     gamma = {v: 6 if v in (3, 5) else 5 for v in rot}
     cfg = make_config("chain", gamma, rot)
-    l0, ring = free_completion(cfg)
-    assert len(ring) == 10
+    assert ring_plan(cfg)[2] == 10
     with pytest.raises(InputError,
                        match="2 cut vertices, expected exactly one"):
-        enhance(cfg, l0, ring)
+        enhance(cfg)
 
 
 def test_light_validation_finds_the_same_triangles():
@@ -642,7 +741,7 @@ def test_reflection_swaps_corners_and_inverts():
 def test_database_questions_pass_their_checks():
     for gc in load_database(CONFIGS_DB):
         probs = question_problems(gc.question, gc.config,
-                                  *enhancement(gc.config))
+                                  *enhance(gc.config))
         assert probs == []
         assert gc.reflection == reflect_question(gc.question)
 
@@ -651,7 +750,7 @@ def test_question_problems_detections():
     cfg = parse_one(CONFIG_DIAMOND)
     gc = build_good_configuration(cfg)
     q = gc.question
-    j, extra = enhancement(cfg)
+    j, extra = enhance(cfg)
 
     broken = q[:2] + ((1, 3, 2, 5),) + q[3:]
     assert any("not a clockwise corner" in p
@@ -683,7 +782,7 @@ def test_isolated_drawing_seeds_on_its_ring_neighbor():
     cfg = parse_one("config dot5 1\nv 1 5 :\nend\n")
     gc = build_good_configuration(cfg)
     tampered = (gc.question[0], (None, None, 2, 5))
-    probs = question_problems(tampered, cfg, *enhancement(cfg))
+    probs = question_problems(tampered, cfg, *enhance(cfg))
     assert any("must seed on its ring neighbor" in p for p in probs)
 
 
