@@ -174,14 +174,27 @@ def cmd_lint(args) -> int:
 
     if args.presentation:
         lines = []
+        # an S step citing a C line whose branch is still open appeals
+        # to a branch that has not been disposed of, which verify refuses
+        cites_open = set()
         with finding(args.presentation):
             degree, lines = parse_presentation(_read(args.presentation))
-            for _ in walk_levels(lines):
-                pass
+            opened = []     # the C line that opened each open level
+            for ln in walk_levels(lines):
+                del opened[ln.level:]
+                if ln.kind == "C":
+                    opened.append(ln.no)
+                elif ln.kind == "S" and ln.payload[3] in opened:
+                    cites_open.add(ln.no)
         for ln in lines:
             if ln.kind == "H":
                 with finding(args.presentation, ln.no):
                     check_hubcap_sum(ln.payload, degree)
+            elif ln.no in cites_open:
+                findings.append(str(VerificationFailure(
+                    f"symmetry appeal cites line {ln.payload[3]}, "
+                    f"whose branch is still open", ln.no,
+                    args.presentation)))
 
     if args.configs:
         configs = []

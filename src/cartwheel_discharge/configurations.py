@@ -424,11 +424,19 @@ def reflect_question(question):
         (v, u, z, xi) for (u, v, z, xi) in question[2:])
 
 
+# A packed label count holds the count of label g in bits 8g .. 8g+6
+# under a guard bit 8g+7, for g up to 12, like the byte lanes of the
+# kernels.  Adding LABEL_GUARD to one count and subtracting another
+# clears the guard of exactly the labels where the second is larger.
+LABEL_GUARD = int.from_bytes(b"\x80" * 13, "little")
+
+
 @dataclass(frozen=True)
 class GoodConfiguration:
     config: Configuration
     question: tuple
     reflection: tuple
+    need: int        # packed count of the labels the question places
 
     @property
     def name(self):
@@ -447,7 +455,12 @@ def build_good_configuration(cfg: Configuration) -> GoodConfiguration:
         if e.line is None:
             e.line = cfg.line
         raise
-    return GoodConfiguration(cfg, q, reflect_question(q))
+    # q places each vertex of cfg under its label, and the ring vertex
+    # of the enhancement, if any, under none
+    need = 0
+    for g in cfg.gamma.values():
+        need += 1 << 8 * g
+    return GoodConfiguration(cfg, q, reflect_question(q), need)
 
 
 def load_database(text):

@@ -163,9 +163,9 @@ def check_symmetry_disposition(pool, k, eps, l, m, a):
     return contained
 
 
-def _make_reducer(db, placements):
+def _make_reducer(db, placements, pieces):
     """The reducer H steps escalate a forced overflow to.  It decides
-    each axle once; `placements` is the run's (d, hi) memo for
+    each axle once; `placements` and `pieces` are the run's memos for
     reducible, shared with its R steps."""
     verdicts = {}
 
@@ -173,7 +173,8 @@ def _make_reducer(db, placements):
         if ax not in verdicts:
             try:
                 verdicts[ax] = bool(
-                    reducible(ax, db, None, placements=placements))
+                    reducible(ax, db, None, placements=placements,
+                              pieces=pieces))
             except ReducibilityFailure:
                 verdicts[ax] = False
         return verdicts[ax]
@@ -197,8 +198,9 @@ def run_presentation(degree, lines, table, db, trace=None):
     # the memos die with this run, so no verdict outlives its database
     # and no bound context its table
     placements = {}
+    pieces = {}
     contexts = {}
-    reducer = _make_reducer(db, placements)
+    reducer = _make_reducer(db, placements, pieces)
 
     for ln in walk_levels(lines):
         level = ln.level
@@ -232,7 +234,8 @@ def run_presentation(degree, lines, table, db, trace=None):
         # disposition of the current branch
         try:
             if ln.kind == "R":
-                reducible(a, db, trace, placements=placements)
+                reducible(a, db, trace, placements=placements,
+                          pieces=pieces)
             elif ln.kind == "H":
                 check_hubcap(a, ln.payload, table, reducer, trace, contexts)
             else:

@@ -1,46 +1,136 @@
 """Reducibility disposition: build the skeleton drawing carried by an
 axle's upper bounds, search it for a good configuration, and recurse
 on tightened axles until every branch carries one.
+
+A skeleton is put together from pieces that a run keeps in one memo
+beside its placements.  A spoke piece, keyed (d, i, pin of i or 0 when
+open), holds the rotations of spoke i and its fan rows, and the
+`third` entries of the triangles around spoke i: the consecutive pairs
+of its rotation, wrapping when it is pinned.  Every triangle of a
+skeleton has a spoke corner, so these entries make up all of `third`.
+A hat piece, keyed (d, i, pin of i, pin of i + 1), holds the rotation
+of hat d + i.  Pieces are shared between skeletons and never changed;
+they stay lean, since a run keeps every one it builds.
+
+The database scan skips a configuration at once when the skeleton
+lacks room for its labels: a placement is injective and label exact,
+so every label the question places (`GoodConfiguration.need`) must
+occur at least as often among the skeleton's positions (`have`).
 """
 
 from __future__ import annotations
 
 from .axles import Axle, validate_axle
-from .configurations import Configuration, restrict_drawing
+from .configurations import LABEL_GUARD, restrict_drawing
 from .errors import InternalInvariantError, ReducibilityFailure
 from .rules import cartwheel_rotation
 
 
-def skeleton_of(a: Axle) -> Configuration:
+class Skeleton:
+    """The drawing of an axle's upper bounds, with the tables the
+    probes read.  `have` packs the count of each label like
+    `GoodConfiguration.need`; `triangles` is read off `third` when
+    asked for."""
+
+    name = "skeleton"
+
+    def __init__(self, gamma, rot, cyclic, adj, third, by_label, have):
+        self.gamma = gamma
+        self.rot = rot
+        self.cyclic = cyclic
+        self.adj = adj
+        self.third = third
+        self.by_label = by_label
+        self.have = have
+        self.ids = list(gamma)
+
+    @property
+    def triangles(self):
+        """The closed triangles (u, v, w), each from its least vertex,
+        in order."""
+        return tuple(sorted((u, v, w) for (u, v), w in self.third.items()
+                            if u < v and u < w))
+
+
+def _spoke_piece(d, i, k):
+    """Spoke i of pin k (0 when open) and its fan rows, as their
+    rotations and the `third` entries of the triangles around i."""
+    pins = {i: k} if k else {}
+    rot = {p: cartwheel_rotation(p, pins, d)[0]
+           for p in [i] + [j * d + i for j in range(2, k - 3)]}
+    third = {}
+    lst = rot[i]
+    w = lst[-1] if k else None
+    for u in lst:
+        if w is not None:
+            third[(u, i)] = w
+            third[(i, w)] = u
+            third[(w, u)] = i
+        w = u
+    return rot, third
+
+
+def _hat_piece(d, i, k, k2):
+    """The rotation of hat d + i between spoke i of pin k and the next
+    spoke of pin k2 (0 when open)."""
+    pins = {s: pin for s, pin in ((i, k), (i % d + 1, k2)) if pin}
+    return cartwheel_rotation(d + i, pins, d)[0]
+
+
+def skeleton_of(a: Axle, pieces=None) -> Skeleton:
     """Drawing determined by the axle's upper bounds: the hub, the
     spokes, the hats, and fan rows for every spoke pinned to at most
     8.  Each position is labeled with its upper bound: d at the hub,
     12 at an open spoke, and `by_label` lists each label's positions
-    in id order.  The drawing is valid by construction, so it
-    is not validated: adjacency comes from the rotations and the
-    corners from the one corner pass.  The pin-pattern sweep in the
-    tests shows that it equals what `Configuration.validate` finds."""
+    in id order.  The drawing is valid by construction, so it is not
+    validated: it merges the hub with the d spoke and d hat pieces
+    its pins call for, taken from `pieces` or built into it (a fresh
+    memo when None).  The hub and the pinned spokes are interior,
+    every other position is on the boundary.  The pin-pattern sweep
+    in the tests shows that it equals what `Configuration.validate`
+    finds."""
+    if pieces is None:
+        pieces = {}
     d = a.d
-    pins = {i: a.hi[i] for i in range(1, d + 1) if a.hi[i] <= 8}
-    positions = list(range(2 * d + 1))
-    for i, k in pins.items():
-        positions.extend(j * d + i for j in range(2, k - 3))
+    hi = a.hi
+    ks = [0] + [k if k <= 8 else 0 for k in hi[1:d + 1]]
+    ks.append(ks[1])
+    rot = {0: list(range(d, 0, -1))}
+    third = {}
+    for i in range(1, d + 1):
+        k = ks[i]
+        key = (d, i, k)
+        piece = pieces.get(key)
+        if piece is None:
+            piece = pieces[key] = _spoke_piece(d, i, k)
+        rot.update(piece[0])
+        third.update(piece[1])
+        key = (d, i, k, ks[i + 1])
+        hat = pieces.get(key)
+        if hat is None:
+            hat = pieces[key] = _hat_piece(d, i, k, ks[i + 1])
+        rot[d + i] = hat
+    cyc = dict.fromkeys(rot, False)
+    cyc[0] = True
+    for i in range(1, d + 1):
+        if ks[i]:
+            cyc[i] = True
+    adj = {p: frozenset(ws) for p, ws in rot.items()}
     gamma = {}
-    rot = {}
-    cyc = {}
     by_label = {}
-    for p in sorted(positions):
-        gamma[p] = g = a.hi[p]
-        by_label.setdefault(g, []).append(p)
-        rot[p], cyc[p] = cartwheel_rotation(p, pins, d)
-    skel = Configuration("skeleton", gamma, rot, cyc)
-    skel.by_label = by_label
-    skel.adj = {p: frozenset(ws) for p, ws in rot.items()}
-    skel.read_corners()
-    return skel
+    have = 0
+    for p in sorted(rot):
+        gamma[p] = g = hi[p]
+        have += 1 << 8 * g
+        at = by_label.get(g)
+        if at is None:
+            by_label[g] = [p]
+        else:
+            at.append(p)
+    return Skeleton(gamma, rot, cyc, adj, third, by_label, have)
 
 
-def well_positioned(f, cfg, skel: Configuration) -> bool:
+def well_positioned(f, cfg, skel: Skeleton) -> bool:
     """A placed configuration may omit a spoke only if it also omits
     one of the two hats beside it."""
     image = {f[v] for v in cfg.ids}
@@ -55,7 +145,7 @@ def well_positioned(f, cfg, skel: Configuration) -> bool:
     return True
 
 
-def check_iso(f, cfg, skel: Configuration) -> bool:
+def check_iso(f, cfg, skel: Skeleton) -> bool:
     """Independent acceptance check on a placement: injective, label
     exact, adjacency preserved both ways, and the triangles of the
     configuration map onto triangular faces of the induced subdrawing
@@ -101,7 +191,7 @@ def check_iso(f, cfg, skel: Configuration) -> bool:
     return handed(False) or handed(True)
 
 
-def _positive_answers(question, skel: Configuration):
+def _positive_answers(question, skel: Skeleton):
     """All embeddings the probe sequence finds, in canonical order."""
     gam = skel.gamma
     x0 = question[0][3]
@@ -126,13 +216,19 @@ def _positive_answers(question, skel: Configuration):
                 yield f
 
 
-def semi_reducible(a: Axle, db):
+def semi_reducible(a: Axle, db, pieces=None):
     """First good configuration appearing well-positioned in the
-    skeleton of `a`, with its placement, or None.  For hub degree at
-    least 6 an appearance must survive the independent isomorphism
-    check; a miss there means the machinery itself is broken."""
-    skel = skeleton_of(a)
+    skeleton of `a`, with its placement, or None.  `pieces` is the
+    skeleton piece memo (see skeleton_of).  For hub degree at least 6
+    an appearance must survive the independent isomorphism check; a
+    miss there means the machinery itself is broken."""
+    skel = skeleton_of(a, pieces)
+    room = skel.have + LABEL_GUARD
     for gc in db:
+        # a guard bit borrowed away marks a label the skeleton has too
+        # few positions for, so the configuration cannot appear
+        if (room - gc.need) & LABEL_GUARD != LABEL_GUARD:
+            continue
         for question in (gc.question, gc.reflection):
             for f in _positive_answers(question, skel):
                 img = {v: f[v] for v in gc.config.ids}
@@ -147,7 +243,8 @@ def semi_reducible(a: Axle, db):
     return None
 
 
-def reducible(a: Axle, db, trace=None, *, placements=None) -> bool:
+def reducible(a: Axle, db, trace=None, *, placements=None,
+              pieces=None) -> bool:
     """Every axle compatible with `a` must carry a good configuration.
     Work a stack of (axle, trail): a found placement at positions P
     spawns one child per p in P where the bounds still have slack,
@@ -157,9 +254,13 @@ def reducible(a: Axle, db, trace=None, *, placements=None) -> bool:
     `placements` maps (d, hi) to the semi_reducible answer on db: the
     skeleton reads only d and hi, so axles that differ in lo alone
     share it.  A caller that passes one dict to many calls on the same
-    db builds each skeleton once; by default it lives for this call."""
+    db builds each skeleton once; by default it lives for this call.
+    `pieces` is the skeleton piece memo, which depends on nothing but
+    the degree and pins; it too lives for this call by default."""
     if placements is None:
         placements = {}
+    if pieces is None:
+        pieces = {}
     stack = [(a, ())]
     while stack:
         b, trail = stack.pop()
@@ -167,7 +268,7 @@ def reducible(a: Axle, db, trace=None, *, placements=None) -> bool:
         if key in placements:
             found = placements[key]
         else:
-            found = placements[key] = semi_reducible(b, db)
+            found = placements[key] = semi_reducible(b, db, pieces)
         if found is None:
             if trace is not None:
                 trace.append(

@@ -2,9 +2,12 @@
 
 import contextlib
 import io
+import random
 
 from cartwheel_discharge import cli
-from cartwheel_discharge.configurations import Configuration
+from cartwheel_discharge.configurations import (Configuration,
+                                                parse_configurations)
+from cartwheel_discharge.errors import InputError
 
 RULES_EMPTY = "# no discharging rules\n"
 
@@ -231,3 +234,78 @@ def question_problems(question, cfg, jcfg, extra):
         if jcfg.third.get((u, v)) != z:
             probs.append(f"probe {t} is not a clockwise corner")
     return probs
+
+def seeded_defect(cfg, rng):
+    """cfg's name and tables with one seeded defect: two neighbors
+    swapped, one dropped, a list reversed or rotated, cyclic flipped, a
+    label changed, or an edge deleted from both sides."""
+    rot = {v: list(ws) for v, ws in cfg.rot.items()}
+    cyclic = dict(cfg.cyclic)
+    gamma = dict(cfg.gamma)
+    v = rng.choice(cfg.ids)
+    lst = rot[v]
+    kind = rng.randrange(7) if len(lst) > 1 else rng.randrange(4, 6)
+    if kind == 0:
+        i, j = rng.sample(range(len(lst)), 2)
+        lst[i], lst[j] = lst[j], lst[i]
+    elif kind == 1:
+        del lst[rng.randrange(len(lst))]
+    elif kind == 2:
+        lst.reverse()
+    elif kind == 3:
+        t = rng.randrange(1, len(lst))
+        rot[v] = lst[t:] + lst[:t]
+    elif kind == 4:
+        cyclic[v] = not cyclic[v]
+    elif kind == 5:
+        gamma[v] = rng.choice([None, *range(1, 12)])
+    else:
+        u = rng.choice(lst)
+        lst.remove(u)
+        rot[u].remove(v)
+    return cfg.name, gamma, rot, cyclic
+
+
+def label_mutants(seed, count):
+    """`count` seeded label and rotation mutants of each fixture drawing,
+    those that still validate: up to three labels redrawn, and two
+    neighbors of one vertex swapped half the time."""
+    rng = random.Random(seed)
+    for cfg in parse_configurations(CONFIGS_DB):
+        for _ in range(count):
+            gamma = dict(cfg.gamma)
+            rot = {v: list(ws) for v, ws in cfg.rot.items()}
+            reset = rng.randint(1, min(3, len(cfg.ids)))
+            for v in rng.sample(cfg.ids, reset):
+                gamma[v] = rng.randint(1, 11)
+            lst = rot[rng.choice(cfg.ids)]
+            if len(lst) > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(len(lst)), 2)
+                lst[i], lst[j] = lst[j], lst[i]
+            try:
+                yield make_config(cfg.name, gamma, rot)
+            except InputError:
+                continue
+
+
+def record_text(name, gamma, rot):
+    """One configuration record in the database's text form."""
+    lines = [f"config {name} {len(rot)}"]
+    lines += [f"v {v} {gamma[v]} : {' '.join(map(str, ws))}"
+              for v, ws in rot.items()]
+    return "\n".join(lines + ["end", ""])
+
+
+def fuzz_corpus():
+    """Database texts of a fixed fuzz corpus: every +-1 integer mutant
+    of the fixture database, 150 seeded defects of each of its records,
+    and 300 seeded label mutants of each.  Many fail to build."""
+    corpus = [text for *_, text in int_mutants(CONFIGS_DB)]
+    rng = random.Random("build")
+    for cfg in parse_configurations(CONFIGS_DB):
+        for _ in range(150):
+            name, gamma, rot, _ = seeded_defect(cfg, rng)
+            corpus.append(record_text(name, gamma, rot))
+    corpus += [record_text(m.name, m.gamma, m.rot)
+               for m in label_mutants("build", 300)]
+    return corpus

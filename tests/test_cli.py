@@ -13,8 +13,10 @@ from _fixtures import (
     CONFIGS_EMPTY,
     CONFIGS_SMALL,
     OUTLETS_DEMO_7,
+    PRESENT_ESCALATE_7,
     PRESENT_EVICTED_7,
     PRESENT_REDUCE_7,
+    PRESENT_REFLECT_7,
     PRESENT_RULES_7,
     PRESENT_SYMMETRY_7,
     PRESENT_ZERO_7,
@@ -250,6 +252,11 @@ def test_verify_rejects_an_appeal_to_an_open_branch(files, tmp_path, text,
     assert err == (f"verification failed: line {line}: symmetry appeal "
                    f"does not cover the branch\n")
     assert out == ""
+    # lint sees it from the levels alone: the cited split is still open
+    code, out, err = run_cli(["lint", "-p", pres])
+    assert (code, err) == (1, "")
+    assert (f"{pres}:{line}: symmetry appeal cites line 2, whose branch is "
+            f"still open") in out.splitlines()
 
 
 @pytest.mark.parametrize("module", ["cartwheel_discharge",
@@ -388,6 +395,19 @@ def test_lint_clean_inputs(files):
                               "-p", files["rules_pres"],
                               "-c", files["configs_small"]])
     assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("text", [
+    PRESENT_ZERO_7, PRESENT_SYMMETRY_7, PRESENT_REFLECT_7, PRESENT_REDUCE_7,
+    PRESENT_RULES_7, PRESENT_ESCALATE_7, PRESENT_EVICTED_7,
+], ids=["zero", "symmetry", "reflect", "reduce", "rules", "escalate",
+        "evicted"])
+def test_lint_passes_the_fixture_scripts(tmp_path, text):
+    # every fixture script that verifies lints clean; so does the
+    # evicted appeal, which cites a closed branch and fails only in
+    # verify, where the pool is known
+    pres = write(tmp_path, "fixture.pres", text)
+    assert run_cli(["lint", "-p", pres]) == (0, "", "")
 
 
 def test_lint_flags_malformed_rules(files, tmp_path):

@@ -13,9 +13,12 @@ from _fixtures import (
     CONFIG_LONG_PATH,
     CONFIG_TRI666,
     CONFIGS_DB,
-    int_mutants,
+    fuzz_corpus,
+    label_mutants,
     make_config,
     question_problems,
+    record_text,
+    seeded_defect,
 )
 from cartwheel_discharge.configurations import (
     Configuration,
@@ -272,37 +275,6 @@ def test_build_messages(text, message):
     assert e.value.line == 1
 
 
-def _mutant(cfg, rng):
-    """cfg's name and tables with one seeded defect: two neighbors
-    swapped, one dropped, a list reversed or rotated, cyclic flipped, a
-    label changed, or an edge deleted from both sides."""
-    rot = {v: list(ws) for v, ws in cfg.rot.items()}
-    cyclic = dict(cfg.cyclic)
-    gamma = dict(cfg.gamma)
-    v = rng.choice(cfg.ids)
-    lst = rot[v]
-    kind = rng.randrange(7) if len(lst) > 1 else rng.randrange(4, 6)
-    if kind == 0:
-        i, j = rng.sample(range(len(lst)), 2)
-        lst[i], lst[j] = lst[j], lst[i]
-    elif kind == 1:
-        del lst[rng.randrange(len(lst))]
-    elif kind == 2:
-        lst.reverse()
-    elif kind == 3:
-        t = rng.randrange(1, len(lst))
-        rot[v] = lst[t:] + lst[:t]
-    elif kind == 4:
-        cyclic[v] = not cyclic[v]
-    elif kind == 5:
-        gamma[v] = rng.choice([None, *range(1, 12)])
-    else:
-        u = rng.choice(lst)
-        lst.remove(u)
-        rot[u].remove(v)
-    return cfg.name, gamma, rot, cyclic
-
-
 def _outcome(cfg, check):
     try:
         check(cfg)
@@ -325,7 +297,7 @@ def test_validation_of_mutants_keeps_its_digest():
     messages = set()
     for cfg in drawings:
         for _ in range(150):
-            m = _mutant(cfg, rng)
+            m = seeded_defect(cfg, rng)
             for check in (Configuration.validate, Configuration.validate_light):
                 out = _outcome(Configuration(*m), check)
                 h.update(repr(out).encode())
@@ -387,28 +359,6 @@ def test_completion_of_a_dot():
     assert l0.rot[2] == [3, 1, 6]
 
 
-def _label_mutants(seed, count):
-    """`count` seeded label and rotation mutants of each fixture drawing,
-    those that still validate: up to three labels redrawn, and two
-    neighbors of one vertex swapped half the time."""
-    rng = random.Random(seed)
-    for cfg in parse_configurations(CONFIGS_DB):
-        for _ in range(count):
-            gamma = dict(cfg.gamma)
-            rot = {v: list(ws) for v, ws in cfg.rot.items()}
-            reset = rng.randint(1, min(3, len(cfg.ids)))
-            for v in rng.sample(cfg.ids, reset):
-                gamma[v] = rng.randint(1, 11)
-            lst = rot[rng.choice(cfg.ids)]
-            if len(lst) > 1 and rng.random() < 0.5:
-                i, j = rng.sample(range(len(lst)), 2)
-                lst[i], lst[j] = lst[j], lst[i]
-            try:
-                yield make_config(cfg.name, gamma, rot)
-            except InputError:
-                continue
-
-
 def test_completion_reaches_every_label():
     # free_completion splices gamma - deg ring vertices into a boundary
     # vertex met once on the outer walk, one into each of the two
@@ -422,7 +372,7 @@ def test_completion_reaches_every_label():
             assert len(l0.rot[v]) == cfg.gamma[v]
         assert len(ring) >= 3
     completed = split = 0
-    for mutant in _label_mutants("completion", 300):
+    for mutant in label_mutants("completion", 300):
         try:
             l0, _ = free_completion(mutant)
         except InputError:
@@ -441,7 +391,7 @@ def test_build_skips_only_completions_valid_by_construction():
     # on the outer walk, every fan k <= m), the drawn ring validates and
     # cfg has no cut vertex
     skipped = edge = 0
-    for mutant in _label_mutants("skip", 600):
+    for mutant in label_mutants("skip", 600):
         try:
             j, extra = enhance(mutant)
         except InputError:
@@ -474,7 +424,7 @@ def test_enhancement_is_the_drawn_ring_restricted():
     # restricted to cfg and extra, and 2-connected, and extra is the
     # lesser ring neighbor of the cut vertex, each of which ties the
     # branches together
-    drawings = list(_label_mutants("restrict", 300))
+    drawings = list(label_mutants("restrict", 300))
     for text in _lattice_patches("restrict", 1500):
         try:
             drawings += parse_configurations(text)
@@ -519,14 +469,6 @@ def test_enhancement_is_the_drawn_ring_restricted():
     assert all(seen[k] >= 50 for k in ("raised", "cuts", "cut", "dot")), seen
 
 
-def _record(name, gamma, rot):
-    """One configuration record in the database's text form."""
-    lines = [f"config {name} {len(rot)}"]
-    lines += [f"v {v} {gamma[v]} : {' '.join(map(str, ws))}"
-              for v, ws in rot.items()]
-    return "\n".join(lines + ["end", ""])
-
-
 # the six directions of the triangular lattice, clockwise
 _STEPS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
@@ -562,7 +504,7 @@ def _lattice_patches(seed, count):
             gamma[v] = len(rot[v])
             if gaps:
                 gamma[v] += rng.choice((1, 2, 2, 2, 2, 3, 5))
-        yield _record(f"lat{t}", gamma, rot)
+        yield record_text(f"lat{t}", gamma, rot)
 
 
 def _build_outcome(text):
@@ -585,17 +527,9 @@ def test_build_messages_on_a_fuzz_corpus_keep_their_digest():
     # full against a digest taken from a build that completed and
     # validated every record: skipping a completion must change no
     # message, line or probe
-    corpus = [text for *_, text in int_mutants(CONFIGS_DB)]
-    rng = random.Random("build")
-    for cfg in parse_configurations(CONFIGS_DB):
-        for _ in range(150):
-            name, gamma, rot, _ = _mutant(cfg, rng)
-            corpus.append(_record(name, gamma, rot))
-    corpus += [_record(m.name, m.gamma, m.rot)
-               for m in _label_mutants("build", 300)]
     h = hashlib.sha256()
     kinds = collections.Counter()
-    for text in corpus:
+    for text in fuzz_corpus():
         out = _build_outcome(text)
         if isinstance(out, tuple):
             kinds.update(k for k in ("not a plane triangulation",

@@ -189,9 +189,16 @@ def test_run_builds_each_skeleton_and_verdict_once(db, monkeypatch):
     reducible = presentation.reducible
     make_reducer = presentation._make_reducer
 
-    def counting_skeleton_of(a):
+    def counting_skeleton_of(a, *args):
         built.append((a.d, a.hi))
-        return skeleton_of(a)
+        return skeleton_of(a, *args)
+
+    pieces = []
+    for name in ("_spoke_piece", "_hat_piece"):
+        def counting_piece(*key, build=getattr(reducibility, name)):
+            pieces.append(key)
+            return build(*key)
+        monkeypatch.setattr(reducibility, name, counting_piece)
 
     def counting_reducible(a, *args, **kw):
         decided.append(a)
@@ -214,6 +221,9 @@ def test_run_builds_each_skeleton_and_verdict_once(db, monkeypatch):
     # one build per distinct (d, hi) the R step and the escalations ask
     # for, 34 in all (54 asks)
     assert len(built) == len(set(built)) == 34
+    # and one build per distinct spoke and hat piece, 74 in all (the
+    # 34 skeletons are made of 476)
+    assert len(pieces) == len(set(pieces)) == 74
     # the R step and each distinct escalated axle go to reducible once;
     # the doubled triples escalate some axles twice
     assert len(decided) == len(set(decided)) == 1 + len(set(asked))

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from _fixtures import CONFIGS_DB, CONFIGS_SMALL
+from _fixtures import CONFIGS_DB, CONFIGS_SMALL, fuzz_corpus
+from cartwheel_discharge import reducibility
 from cartwheel_discharge.axles import Axle, trivial_axle, validate_axle
 from cartwheel_discharge.configurations import Configuration, load_database
-from cartwheel_discharge.errors import ReducibilityFailure
+from cartwheel_discharge.errors import CartwheelError, ReducibilityFailure
 from cartwheel_discharge.oracles import random_axle
 from cartwheel_discharge.reducibility import (
     _positive_answers,
@@ -34,6 +35,28 @@ def ax(d, bounds):
 @pytest.fixture(scope="module")
 def db():
     return load_database(CONFIGS_SMALL)
+
+
+@pytest.fixture(scope="module")
+def fuzz_db():
+    """The distinct records that build from the fuzz corpus, in corpus
+    order, each renamed by its place so that a trace names the record
+    (mutants keep the name of the record they came from)."""
+    built = []
+    seen = set()
+    for text in fuzz_corpus():
+        try:
+            records = load_database(text)
+        except CartwheelError:
+            continue
+        for gc in records:
+            key = (gc.question, tuple(sorted(gc.config.gamma.items())))
+            if key not in seen:
+                seen.add(key)
+                gc.config.name = f"{gc.name}.{len(built)}"
+                built.append(gc)
+    assert len(built) == 289
+    return built
 
 
 # -------------------------------------------------------------- skeleton
@@ -136,6 +159,27 @@ def test_skeletons_match_validation_on_every_pin_pattern():
     assert count == 5 ** 5 + 5 ** 6 + 5 * 5 ** 4
 
 
+def test_skeletons_from_a_shared_piece_memo_equal_fresh_ones():
+    # one memo serves a mixed sequence of degrees and pin patterns, and
+    # seeded axles with fan and hat bounds between them: every skeleton
+    # put together from it equals one built from nothing
+    rng = random.Random("pieces")
+    patterns = rng.sample(list(_pin_patterns()), 1500)
+    axles = []
+    for t, (d, pins) in enumerate(patterns):
+        base = trivial_axle(d)
+        hi = bytearray(base.hi)
+        hi[1:d + 1] = pins
+        axles += [Axle(d, base.lo, bytes(hi)), random_axle(5 + t % 7, t)]
+    pieces = {}
+    for a in axles:
+        shared, fresh = skeleton_of(a, pieces), skeleton_of(a)
+        for table in ("rot", "cyclic", "gamma", "adj", "third", "by_label",
+                      "have", "ids"):
+            assert getattr(shared, table) == getattr(fresh, table), a
+    assert len(pieces) == 1673
+
+
 def test_skeleton_and_placement_read_only_the_upper_bounds():
     # the (d, hi) key of reducible's placement memo: raising lower
     # bounds under the same upper bounds changes neither the drawing
@@ -211,6 +255,38 @@ def test_probes_seeded_by_label_match_a_full_scan():
                     assert got == list(_full_scan(question, skel)), (d, s)
                     found += len(got)
     assert found >= 1000, found
+
+
+def test_the_label_gate_skips_only_configurations_that_cannot_appear(
+        fuzz_db, monkeypatch):
+    # the database scan probes a configuration only when the skeleton
+    # has a position for each label it places; one it skips must have
+    # no answer in either handing
+    probed = []
+    answers = reducibility._positive_answers
+
+    def recording(question, skel):
+        probed.append(question)
+        return answers(question, skel)
+
+    monkeypatch.setattr(reducibility, "_positive_answers", recording)
+    configs = load_database(CONFIGS_DB) + fuzz_db
+    pieces = {}
+    skipped = 0
+    for d in range(5, 12):
+        for s in range(12):
+            a = random_axle(d, s)
+            skel = skeleton_of(a)
+            for gc in configs:
+                probed.clear()
+                semi_reducible(a, [gc], pieces)
+                if probed:
+                    continue
+                skipped += 1
+                for question in (gc.question, gc.reflection):
+                    assert next(answers(question, skel), None) is None
+    # 21,433 of the 24,864 scans skip
+    assert skipped >= 20000
 
 
 def test_semi_reducible_returns_config_and_image(db):
@@ -289,6 +365,28 @@ def test_reducible_expands_the_decrement_tree(db):
         f"reduce axle={c2.digest()} trail=2:5 config=edge56 image=[1, 2]",
         f"reduce axle={c11.digest()} trail=2:5,1:5 config=dot5 image=[1]",
     ]
+
+
+def test_decrement_tree_traces_keep_their_digest(fuzz_db):
+    # the reducible trace of 700 seeded axles at d = 5..11 against the
+    # fixture database and the fuzz database in both orders, against a
+    # digest taken before the database scan skipped any configuration:
+    # the first configuration found and its image at every node
+    h = hashlib.sha256()
+    nodes = 0
+    for db in (load_database(CONFIGS_DB), fuzz_db, fuzz_db[::-1]):
+        for d in range(5, 12):
+            for s in range(100):
+                trace = []
+                try:
+                    reducible(random_axle(d, s), db, trace)
+                except ReducibilityFailure:
+                    pass
+                h.update("\n".join(trace + [""]).encode())
+                nodes += len(trace)
+    assert nodes == 4204
+    assert h.hexdigest() == (
+        "7e187fefc364ec4042fe45ec025b84b8df1a900c2d940432389989e4480e95eb")
 
 
 def test_reducible_leaf_has_no_slack(db):
