@@ -68,16 +68,14 @@ def _trace_error(e, path):
 
 
 def _emit_trace(trace, fh):
-    if fh is None:
-        for line in trace:
-            print(line)
-        return
+    out = fh or sys.stdout
     try:
-        fh.write("".join(line + "\n" for line in trace))
-        fh.flush()
+        out.write("".join(line + "\n" for line in trace))
+        out.flush()
     except OSError as e:
-        raise _trace_error(e, fh.name)
-    print(f"trace written to {fh.name}")
+        raise _trace_error(e, getattr(out, "name", "<stdout>"))
+    if fh is not None:
+        print(f"trace written to {fh.name}")
 
 
 def _outlets(path, degree):
@@ -174,27 +172,37 @@ def cmd_lint(args) -> int:
 
     if args.presentation:
         lines = []
-        # an S step citing a C line whose branch is still open appeals
-        # to a branch that has not been disposed of, which verify refuses
-        cites_open = set()
+        # an S step may cite only a branch in verify's pool: the side of
+        # a split that a disposition at the next level closed, until a
+        # disposition at or above the split's level drops it
+        appeals = {}
         with finding(args.presentation):
             degree, lines = parse_presentation(_read(args.presentation))
             opened = []     # the C line that opened each open level
+            pooled = []     # (level, C line) of each pooled branch
             for ln in walk_levels(lines):
-                del opened[ln.level:]
+                level = ln.level
+                del opened[level:]
                 if ln.kind == "C":
                     opened.append(ln.no)
-                elif ln.kind == "S" and ln.payload[3] in opened:
-                    cites_open.add(ln.no)
+                    continue
+                if ln.kind == "S" and ln.payload[2:] not in pooled:
+                    l, m = ln.payload[2:]
+                    appeals[ln.no] = (
+                        f"symmetry appeal cites line {m}, whose branch is "
+                        f"still open" if m in opened else
+                        f"symmetry appeal cites line {m} at level {l}, "
+                        f"which the pool does not hold")
+                pooled = [p for p in pooled if p[0] < level]
+                if level:
+                    pooled.append((level - 1, opened[level - 1]))
         for ln in lines:
             if ln.kind == "H":
                 with finding(args.presentation, ln.no):
                     check_hubcap_sum(ln.payload, degree)
-            elif ln.no in cites_open:
+            elif ln.no in appeals:
                 findings.append(str(VerificationFailure(
-                    f"symmetry appeal cites line {ln.payload[3]}, "
-                    f"whose branch is still open", ln.no,
-                    args.presentation)))
+                    appeals[ln.no], ln.no, args.presentation)))
 
     if args.configs:
         configs = []

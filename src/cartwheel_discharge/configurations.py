@@ -4,9 +4,11 @@ probe sequences used to search skeletons.
 A database build plans each drawing's free completion, the ring of new
 vertices that brings every labeled vertex to its labeled degree, and
 never draws it.  The plan names every defect the drawn ring would show,
-and gives the enhancement J the probes run over: the drawing itself
-when 2-connected, else the drawing plus one ring vertex, for a single
-vertex or at a cut vertex.  `oracles.free_completion` draws and
+and gives the enhancement the probes run over: a corner map and at
+most one added ring vertex.  That is the drawing's own corners when it
+is 2-connected, no corners beside a single vertex, and at a cut vertex
+the drawing's corners plus the triangles the ring closes over its
+outer edges with one ring vertex.  `oracles.free_completion` draws and
 validates the ring, as the reference for both.
 
 A drawing is a rotation system: rot[v] lists the neighbors of v in
@@ -82,14 +84,17 @@ class Configuration:
         if len(_reach(self.rot, self.ids[0])) != len(self.ids):
             raise InputError(f"{name}: drawing is not connected")
 
-    def read_corners(self):
-        """Read every corner of a drawing whose `adj` is set, once, and
-        cache `third` and `triangles` from the closed triangles.
-        Returns the open and the closed corners, each as (u, v) -> w."""
+    def validate(self):
+        """Check the drawing and cache adjacency, the corner map `third`
+        of its closed triangles, `triangles`, and the outer walk.  Every
+        corner is read once.  Raises InputError on any defect."""
+        name = self.name
+        self._check_graph()
         self.third = third = {}
         self.triangles = ()
+        self.outer = ()
         if len(self.ids) == 1:
-            return {}, {}
+            return self
         adj = self.adj
         opened = {}
         closed = {}
@@ -117,31 +122,12 @@ class Configuration:
                 third[(w, u)] = v
                 tris.append((u, v, w))
         self.triangles = tuple(sorted(tris))
-        return opened, closed
-
-    def validate_light(self):
-        """Adjacency and connectivity checks plus the corner map, with
-        no demand that every region be a triangle.  Restrictions of
-        valid drawings (where regions merge) go through here."""
-        self._check_graph()
-        self.read_corners()
-        return self
-
-    def validate(self):
-        """Check the drawing and cache adjacency, triangles, and the
-        outer walk.  Raises InputError on any defect."""
-        name = self.name
-        self._check_graph()
-        opened, closed = self.read_corners()
-        self.outer = ()
-        if len(self.ids) == 1:
-            return self
         # the faces off the closed triangles, each traced from its
         # least edge
         left = dict(opened)
-        if len(self.third) != len(closed):
+        if len(third) != len(closed):
             for e, w in closed.items():
-                if e not in self.third:
+                if e not in third:
                     left[e] = w
         rest = []
         for e0 in sorted(left):
@@ -316,75 +302,64 @@ def ring_plan(cfg: Configuration):
 
 
 def enhance(cfg: Configuration):
-    """The search drawing J and the vertex `extra` it adds to cfg, read
-    from the ring plan: (cfg, None) when cfg is 2-connected; for a
-    single vertex, J ties it to one new vertex; for one cut vertex, J
-    adds the lesser ring vertex of its two corners, which the fans of
-    the outer neighbors on either side share, one in each branch.
-    Raises InputError where the drawn ring would not validate, which is
-    only where some vertex's fans repeat a ring vertex."""
+    """The corner map the probes run over and the vertex `extra` it adds
+    to cfg, read from the ring plan: (cfg.third, None) when cfg is
+    2-connected; for a single vertex, no corners and one new vertex;
+    for one cut vertex, cfg's corners plus the triangles the drawn ring
+    closes over cfg's outer edges with `extra`, the lesser ring vertex
+    of the cut vertex's two corners, which the fans of the outer
+    neighbors on either side share, one in each branch.  Raises
+    InputError where the drawn ring would not validate, which is only
+    where some vertex's fans repeat a ring vertex."""
     ids = cfg.ids
     name = cfg.name
     extra = ids[-1] + 1
     if len(ids) == 1:
-        v = ids[0]
-        g = cfg.gamma[v]
+        g = cfg.gamma[ids[0]]
         if g is None or g < 3:
             raise InputError(f"{name}: cannot ring a vertex labeled {g}")
-        rot = {v: [extra], extra: [v]}
-    else:
-        corners, ks, m = ring_plan(cfg)
-        if len({v for v, _, _ in corners}) == len(corners) and max(ks) <= m:
-            return cfg, None
-        # fan t holds ring offsets offs[t] .. offs[t] + ks[t] - 1 (mod m)
-        offs = []
-        o = 0
-        for k in ks:
-            offs.append(o)
-            o += k - 1
-        fans = [[(o + t) % m for t in range(k)] for o, k in zip(offs, ks)]
-        at = {}
-        for t, (v, _, _) in enumerate(corners):
-            at.setdefault(v, []).append(t)
-        for v in sorted(at):
-            held = [r for t in at[v] for r in fans[t]]
-            if len(set(held)) < len(held):
-                raise InputError(
-                    f"{name}: completion is not a plane triangulation: "
-                    f"{name}+ring: vertex {v} repeats a neighbor")
-        cuts = [v for v in sorted(at) if len(at[v]) == 2]
-        if len(cuts) != 1:
+        return {}, extra
+    corners, ks, m = ring_plan(cfg)
+    if len({v for v, _, _ in corners}) == len(corners) and max(ks) <= m:
+        return cfg.third, None
+    # fan t holds ks[t] consecutive ring offsets (mod m); consecutive
+    # fans share one
+    fans = []
+    o = 0
+    for k in ks:
+        fans.append([(o + t) % m for t in range(k)])
+        o += k - 1
+    at = {}
+    for t, (v, _, _) in enumerate(corners):
+        at.setdefault(v, []).append(t)
+    for v in sorted(at):
+        held = [r for t in at[v] for r in fans[t]]
+        if len(set(held)) < len(held):
             raise InputError(
-                f"{name}: {len(cuts)} cut vertices, expected exactly one")
-        r = min(fans[t][0] for t in at[cuts[0]])
-        extra += r
-        # the outer walk runs counter to the rotations, so extra goes
-        # into each owner's corner just before u; its own rotation lists
-        # the owners in walk order, except that ring[0] opens at offset
-        # 0 and closes at m, and lists the closing owners first
-        owners = [t for t in range(len(corners)) if r in fans[t]]
-        if r == 0:
-            lead = offs.count(0)
-            owners = owners[lead:] + owners[:lead]
-        rot = {v: list(cfg.rot[v]) for v in ids}
-        for t in owners:
-            v, u, _ = corners[t]
-            lst = rot[v]
-            lst.insert(lst.index(u) or len(lst), extra)
-        rot[extra] = [corners[t][0] for t in owners]
-    gam = dict(cfg.gamma)
-    gam[extra] = None
-    cyc = dict.fromkeys(ids, True)
-    cyc[extra] = False
-    j = Configuration(name + "+J", gam, rot, cyc).validate_light()
-    return j, extra
+                f"{name}: completion is not a plane triangulation: "
+                f"{name}+ring: vertex {v} repeats a neighbor")
+    cuts = [v for v in sorted(at) if len(at[v]) == 2]
+    if len(cuts) != 1:
+        raise InputError(
+            f"{name}: {len(cuts)} cut vertices, expected exactly one")
+    r = min(fans[t][0] for t in at[cuts[0]])
+    extra += r
+    # the ring closes a triangle over each outer edge (u, v) whose two
+    # corners both hold r in their fans
+    third = dict(cfg.third)
+    for t, (v, u, _) in enumerate(corners):
+        if r in fans[t] and r in fans[t - 1]:
+            third[(u, v)] = extra
+            third[(v, extra)] = u
+            third[(extra, u)] = v
+    return third, extra
 
 
-def make_question(cfg: Configuration, jcfg: Configuration, extra, cs):
+def make_question(cfg: Configuration, third, extra, cs):
     """Probe sequence: two adjacent seeds, then repeatedly a clockwise
-    corner of J over two placed vertices, until the whole labeled
-    drawing is covered.  cs holds cfg's centers.  Each probe is
-    (u, v, z, xi)."""
+    corner of the enhancement (third, extra) over two placed vertices,
+    until the whole labeled drawing is covered.  cs holds cfg's
+    centers.  Each probe is (u, v, z, xi)."""
     gam = cfg.gamma
     if not cs:
         raise InputError(f"{cfg.name}: radius exceeds two")
@@ -403,7 +378,7 @@ def make_question(cfg: Configuration, jcfg: Configuration, extra, cs):
         best = None
         for u in placed:
             for v in placed:
-                z = jcfg.third.get((u, v))
+                z = third.get((u, v))
                 if z is None or z in placed:
                     continue
                 xi = 0 if z == extra else gam[z]

@@ -102,9 +102,9 @@ def free_completion(cfg: Configuration):
     """The drawn ring: extend the drawing by a surrounding ring so every
     labeled vertex reaches its labeled degree, and validate the result.
     Returns (completion, ring).  The reference for `enhance`, which
-    reads J from the same `ring_plan` without drawing the ring: J is
-    this drawing restricted to cfg and `extra`, and wherever this
-    raises, `enhance` raises the same message."""
+    reads its corner map from the same `ring_plan` without drawing the
+    ring: the map is this drawing's triangles among cfg and `extra`,
+    and wherever this raises, `enhance` raises the same message."""
     ids = cfg.ids
     base = max(ids)
     if len(ids) == 1:

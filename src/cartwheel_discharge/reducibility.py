@@ -42,7 +42,6 @@ class Skeleton:
         self.third = third
         self.by_label = by_label
         self.have = have
-        self.ids = list(gamma)
 
     @property
     def triangles(self):
@@ -198,7 +197,7 @@ def _positive_answers(question, skel: Skeleton):
     x1 = question[1][3]
     z0 = question[0][2]
     z1 = question[1][2]
-    for p in skel.by_label.get(x0, ()) if x0 > 0 else skel.ids:
+    for p in skel.by_label.get(x0, ()):
         for r in sorted(skel.adj[p]):
             if x1 > 0 and gam[r] != x1:
                 continue

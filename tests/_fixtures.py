@@ -8,6 +8,7 @@ from cartwheel_discharge import cli
 from cartwheel_discharge.configurations import (Configuration,
                                                 parse_configurations)
 from cartwheel_discharge.errors import InputError
+from cartwheel_discharge.oracles import free_completion
 
 RULES_EMPTY = "# no discharging rules\n"
 
@@ -205,9 +206,10 @@ def int_mutants(text):
                 yield li + 1, pi, delta, "\n".join(new_lines) + "\n"
 
 
-def question_problems(question, cfg, jcfg, extra):
+def question_problems(question, cfg, third, extra):
     """Static checks on a probe sequence built over the enhancement
-    (jcfg, extra) of cfg; empty list when sound."""
+    (third, extra) of cfg, a corner map and its added vertex; empty
+    list when sound."""
     probs = []
     zs = [q[2] for q in question]
     if len(set(zs)) != len(zs):
@@ -231,9 +233,17 @@ def question_problems(question, cfg, jcfg, extra):
             continue
         if u not in zs[:t] or v not in zs[:t]:
             probs.append(f"probe {t} leans on unplaced vertices")
-        if jcfg.third.get((u, v)) != z:
+        if third.get((u, v)) != z:
             probs.append(f"probe {t} is not a clockwise corner")
     return probs
+
+def ring_corners(cfg, extra):
+    """The corners of the drawn ring's triangles among cfg's vertices
+    and extra: the reference for the corner map `enhance` gives."""
+    keep = set(cfg.ids) | {extra}
+    return {(u, v): w for (u, v), w in free_completion(cfg)[0].third.items()
+            if u in keep and v in keep and w in keep}
+
 
 def seeded_defect(cfg, rng):
     """cfg's name and tables with one seeded defect: two neighbors

@@ -17,6 +17,7 @@ from _fixtures import (
     int_mutants,
     make_config,
     question_problems,
+    ring_corners,
     run_cli,
     write,
 )
@@ -352,8 +353,9 @@ def test_configuration_database_properties():
         assert centers(cfg)
         assert all(g <= 11 for g in cfg.gamma.values())
     for gc in load_database(CONFIGS_DB):
-        j, extra = enhance(gc.config)
-        assert question_problems(gc.question, gc.config, j, extra) == []
+        third, extra = enhance(gc.config)
+        assert third == ring_corners(gc.config, extra)
+        assert question_problems(gc.question, gc.config, third, extra) == []
 
     def renamed(k):
         return "".join(CONFIGS_DB.replace("config ", f"config r{t}")

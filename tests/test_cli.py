@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line front end (in-process, but for
 the `python -m` forms)."""
 
+import contextlib
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from _fixtures import (
     run_cli,
     write,
 )
+from cartwheel_discharge import cli
 
 
 @pytest.fixture()
@@ -292,6 +296,28 @@ def test_trace_prints_to_stdout(files, monkeypatch):
     assert out.index("hubcap triple") < out.index("verified:")
 
 
+class _FullStream(io.StringIO):
+    """A stream on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_trace_to_an_unwritable_stdout_is_bad_input(files, monkeypatch):
+    # the stdout trace fails as the directory one does: exit 2, no
+    # traceback
+    monkeypatch.delenv("CARTWHEEL_TRACE_DIR", raising=False)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullStream()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "-d", "7", "-r", files["rules_empty"],
+                         "-p", files["zero"], "-c", files["configs_empty"],
+                         "--trace"])
+    assert (code, err.getvalue()) == (
+        2, f"error: <stdout>: cannot write the trace: "
+           f"{os.strerror(errno.ENOSPC)}\n")
+
+
 def test_trace_writes_to_the_env_directory(files, monkeypatch, tmp_path):
     target = tmp_path / "traces"
     target.mkdir()
@@ -399,15 +425,35 @@ def test_lint_clean_inputs(files):
 
 @pytest.mark.parametrize("text", [
     PRESENT_ZERO_7, PRESENT_SYMMETRY_7, PRESENT_REFLECT_7, PRESENT_REDUCE_7,
-    PRESENT_RULES_7, PRESENT_ESCALATE_7, PRESENT_EVICTED_7,
-], ids=["zero", "symmetry", "reflect", "reduce", "rules", "escalate",
-        "evicted"])
+    PRESENT_RULES_7, PRESENT_ESCALATE_7,
+], ids=["zero", "symmetry", "reflect", "reduce", "rules", "escalate"])
 def test_lint_passes_the_fixture_scripts(tmp_path, text):
-    # every fixture script that verifies lints clean; so does the
-    # evicted appeal, which cites a closed branch and fails only in
-    # verify, where the pool is known
+    # every fixture script that verifies lints clean
     pres = write(tmp_path, "fixture.pres", text)
     assert run_cli(["lint", "-p", pres]) == (0, "", "")
+
+
+@pytest.mark.parametrize("text, line, cited", [
+    (PRESENT_EVICTED_7, 6, "line 3 at level 1"),
+    (PRESENT_SYMMETRY_7.replace("1 S 6 0 0 2", "1 S 6 0 1 2"), 5,
+     "line 2 at level 1"),
+    (PRESENT_SYMMETRY_7.replace("1 S 6 0 0 2", "1 S 6 0 1 3"), 5,
+     "line 3 at level 1"),
+], ids=["evicted", "wrong-level", "h-line"])
+def test_lint_flags_an_appeal_outside_the_pool(files, tmp_path, text, line,
+                                               cited):
+    # a closed branch the pool has dropped, a split cited at another
+    # level than its own, and a line that opens no split: lint tracks
+    # the pool from the levels alone and flags each where verify fails
+    pres = write(tmp_path, "appeal.pres", text)
+    code, out, err = run_cli(["verify", "-d", "7", "-r", files["rules_empty"],
+                              "-p", pres, "-c", files["configs_empty"]])
+    assert (code, out, err) == (1, "", f"verification failed: line {line}: "
+                                       f"symmetry appeal does not cover the "
+                                       f"branch\n")
+    assert run_cli(["lint", "-p", pres]) == (
+        1, f"{pres}:{line}: symmetry appeal cites {cited}, which the pool "
+           f"does not hold\n", "")
 
 
 def test_lint_flags_malformed_rules(files, tmp_path):

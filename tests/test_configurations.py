@@ -18,6 +18,7 @@ from _fixtures import (
     make_config,
     question_problems,
     record_text,
+    ring_corners,
     seeded_defect,
 )
 from cartwheel_discharge.configurations import (
@@ -33,12 +34,7 @@ from cartwheel_discharge.configurations import (
     ring_plan,
 )
 from cartwheel_discharge.errors import CartwheelError, InputError
-from cartwheel_discharge.oracles import (
-    cut_vertices,
-    free_completion,
-    random_axle,
-)
-from cartwheel_discharge.reducibility import skeleton_of
+from cartwheel_discharge.oracles import cut_vertices, free_completion
 
 
 def parse_one(text):
@@ -287,8 +283,8 @@ def _outcome(cfg, check):
 
 def test_validation_of_mutants_keeps_its_digest():
     # seeded mutants of the fixture drawings and their completions, each
-    # validated in full and lightly, against a fixed digest: a change to
-    # any verdict, message, corner, triangle or outer walk shows
+    # validated, against a fixed digest: a change to any verdict,
+    # message, corner, triangle or outer walk shows
     drawings = [parse_one(CONFIG_LONG_PATH)]
     for cfg in parse_configurations(CONFIGS_DB):
         drawings += [cfg, free_completion(cfg)[0]]
@@ -298,18 +294,17 @@ def test_validation_of_mutants_keeps_its_digest():
     for cfg in drawings:
         for _ in range(150):
             m = seeded_defect(cfg, rng)
-            for check in (Configuration.validate, Configuration.validate_light):
-                out = _outcome(Configuration(*m), check)
-                h.update(repr(out).encode())
-                if isinstance(out, str):
-                    messages.add(out.split(": ", 1)[1])
+            out = _outcome(Configuration(*m), Configuration.validate)
+            h.update(repr(out).encode())
+            if isinstance(out, str):
+                messages.add(out.split(": ", 1)[1])
     kinds = {k for k in ("is neither a triangle", "infinite region, found",
                          "one-sided", "not connected", "below its degree",
                          "boundary status", "is interior")
              if any(k in msg for msg in messages)}
     assert len(kinds) == 7, kinds
     assert h.hexdigest() == (
-        "054ffe656be6ff463b7267b2f5627d9a41fae1c39f7e17c1d4753b5335669bee")
+        "2e45325241ce9d427ce5c75caa0662c7310ad3a921a857c7186c77cef1fab8e6")
 
 
 # ---------------------------------------- the drawn ring, in oracles.py
@@ -387,18 +382,18 @@ def test_completion_reaches_every_label():
 
 
 def test_build_skips_only_completions_valid_by_construction():
-    # where enhance returns cfg itself (every boundary vertex met once
-    # on the outer walk, every fan k <= m), the drawn ring validates and
-    # cfg has no cut vertex
+    # where enhance returns cfg's own corners (every boundary vertex met
+    # once on the outer walk, every fan k <= m), the drawn ring
+    # validates and cfg has no cut vertex
     skipped = edge = 0
     for mutant in label_mutants("skip", 600):
         try:
-            j, extra = enhance(mutant)
+            third, extra = enhance(mutant)
         except InputError:
             continue
         if extra is not None:
             continue
-        assert j is mutant
+        assert third is mutant.third
         free_completion(mutant)
         assert cut_vertices(mutant.rot) == []
         _, ks, m = ring_plan(mutant)
@@ -408,7 +403,7 @@ def test_build_skips_only_completions_valid_by_construction():
     # k == m: one fan takes all but one ring edge, the other fan the last
     fits = parse_one("config edge35 2\nv 1 3 : 2\nv 2 5 : 1\nend\n")
     assert ring_plan(fits)[1:] == ([4, 2], 4)
-    assert enhance(fits) == (fits, None)
+    assert enhance(fits) == (fits.third, None)
     # k == m + 1: the fan wraps onto its own first ring vertex
     wraps = parse_one("config edge66 2\nv 1 2 : 2\nv 2 6 : 1\nend\n")
     assert ring_plan(wraps)[1:] == ([5, 1], 4)
@@ -420,12 +415,12 @@ def test_enhancement_is_the_drawn_ring_restricted():
     # the reference draws and validates the ring.  Where it raises,
     # enhance raises the same message.  Where it validates, the cut
     # vertices are the vertices met twice on the outer walk; with more
-    # than one, enhance refuses the record.  Otherwise J is the drawing
-    # restricted to cfg and extra, and 2-connected, and extra is the
-    # lesser ring neighbor of the cut vertex, each of which ties the
-    # branches together
+    # than one, enhance refuses the record.  Otherwise the corner map
+    # is the drawn ring's triangles among cfg and extra, the drawing
+    # they span is 2-connected, and extra is the lesser ring neighbor
+    # of the cut vertex, each of which ties the branches together
     drawings = list(label_mutants("restrict", 300))
-    for text in _lattice_patches("restrict", 1500):
+    for text in [*_lattice_patches("lattice", 4000), *fuzz_corpus()]:
         try:
             drawings += parse_configurations(text)
         except InputError:
@@ -450,13 +445,14 @@ def test_enhancement_is_the_drawn_ring_restricted():
                 f"{cfg.name}: {len(cuts)} cut vertices, expected exactly one")
             seen["cuts"] += 1
             continue
-        j, extra = enhance(cfg)
+        third, extra = enhance(cfg)
+        assert third == ring_corners(cfg, extra), cfg.name
         if extra is None:
-            assert j is cfg and not cuts and len(cfg.ids) > 1
+            assert third is cfg.third and not cuts and len(cfg.ids) > 1
+            seen["2-connected"] += 1
             continue
-        rot, cyc = restrict_drawing(l0.rot, l0.cyclic, set(cfg.ids) | {extra})
-        assert (j.rot, j.cyclic) == (rot, cyc), cfg.name
-        assert cut_vertices(j.rot) == []
+        keep = set(cfg.ids) | {extra}
+        assert cut_vertices(restrict_drawing(l0.rot, l0.cyclic, keep)[0]) == []
         if cuts:
             near = [q for q in l0.rot[cuts[0]] if q in ring]
             assert extra == min(near)
@@ -466,7 +462,8 @@ def test_enhancement_is_the_drawn_ring_restricted():
             seen["cut"] += 1
         else:
             seen["dot"] += 1
-    assert all(seen[k] >= 50 for k in ("raised", "cuts", "cut", "dot")), seen
+    assert seen["cut"] >= 700 and seen["dot"] >= 500, seen
+    assert all(seen[k] >= 50 for k in ("raised", "cuts", "2-connected")), seen
 
 
 # the six directions of the triangular lattice, clockwise
@@ -566,6 +563,40 @@ def test_build_messages_on_lattice_patches_keep_their_digest():
         "9d50d6d52aedb5531e2b234cc50a98acf56878cd23199617254ac91b1450e6cf")
 
 
+def test_a_build_validates_each_parsed_record_once(monkeypatch):
+    # the fixture database and the lattice patches: a build constructs
+    # and validates one drawing per record, the parsed one, and draws
+    # nothing else
+    made = []
+    validated = []
+    init = Configuration.__init__
+    validate = Configuration.validate
+
+    def counted_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def counted_validate(self):
+        validated.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(Configuration, "__init__", counted_init)
+    monkeypatch.setattr(Configuration, "validate", counted_validate)
+    db = load_database(CONFIGS_DB)
+    assert made == validated == [gc.config for gc in db]
+    outcomes = collections.Counter()
+    for text in _lattice_patches("lattice", 4000):
+        made.clear()
+        validated.clear()
+        try:
+            db = load_database(text)
+        except InputError:
+            db = []
+        assert len(made) == 1 and validated == made
+        outcomes[len(db)] += 1
+    assert min(outcomes[0], outcomes[1]) >= 1000, outcomes
+
+
 def test_completion_rejects_bad_boundary_split():
     rot = {1: [2, 3, 4, 5], 2: [3, 1], 3: [1, 2], 4: [5, 1], 5: [1, 4]}
     cfg = make_config("fatbow", {1: 7, 2: 5, 3: 5, 4: 5, 5: 5}, rot)
@@ -593,23 +624,26 @@ def test_completion_rejects_triple_boundary_visit():
 def test_enhance_keeps_two_connected_drawings():
     for text in (CONFIG_TRI666, CONFIG_DIAMOND):
         cfg = parse_one(text)
-        j, extra = enhance(cfg)
-        assert j is cfg and extra is None
+        third, extra = enhance(cfg)
+        assert third is cfg.third and extra is None
 
 
 def test_enhance_ties_the_bowtie_with_one_ring_vertex():
+    # ring vertex 6 closes one triangle over each outer edge beside the
+    # cut vertex 1 whose corners both hold it
     cfg = parse_one(CONFIG_BOWTIE)
-    j, extra = enhance(cfg)
+    third, extra = enhance(cfg)
     assert extra == 6
-    assert sorted(j.ids) == [1, 2, 3, 4, 5, 6]
-    assert j.adj[6] == frozenset({1, 3, 4})
+    added = {e: w for e, w in third.items() if e not in cfg.third}
+    assert added == {(1, 3): 6, (3, 6): 1, (6, 1): 3,
+                     (4, 1): 6, (1, 6): 4, (6, 4): 1}
+    assert third == ring_corners(cfg, extra)
 
 
 def test_enhance_gives_the_dot_a_companion():
     cfg = parse_one("config dot5 1\nv 1 5 :\nend\n")
-    j, extra = enhance(cfg)
-    assert extra == 2
-    assert j.rot == {1: [2], 2: [1]}
+    assert enhance(cfg) == ({}, 2)
+    assert ring_corners(cfg, 2) == {}
 
 
 def test_enhance_rejects_more_than_one_cut_vertex():
@@ -622,19 +656,6 @@ def test_enhance_rejects_more_than_one_cut_vertex():
     with pytest.raises(InputError,
                        match="2 cut vertices, expected exactly one"):
         enhance(cfg)
-
-
-def test_light_validation_finds_the_same_triangles():
-    drawings = []
-    for cfg in parse_configurations(CONFIGS_DB):
-        drawings += [cfg, free_completion(cfg)[0]]
-    drawings += [skeleton_of(random_axle(d, s))
-                 for d in range(7, 12) for s in range(20)]
-    for cfg in drawings:
-        light = Configuration(cfg.name, cfg.gamma, cfg.rot,
-                              cfg.cyclic).validate_light()
-        assert light.third == cfg.third, cfg.name
-        assert light.triangles == cfg.triangles, cfg.name
 
 
 def test_question_golden_triangle():
@@ -684,32 +705,32 @@ def test_question_problems_detections():
     cfg = parse_one(CONFIG_DIAMOND)
     gc = build_good_configuration(cfg)
     q = gc.question
-    j, extra = enhance(cfg)
+    third, extra = enhance(cfg)
 
     broken = q[:2] + ((1, 3, 2, 5),) + q[3:]
     assert any("not a clockwise corner" in p
-               for p in question_problems(broken, cfg, j, extra))
+               for p in question_problems(broken, cfg, third, extra))
 
     wrong_label = q[:2] + ((3, 1, 2, 4),) + q[3:]
     assert any("carries label 4, vertex has 5" in p
-               for p in question_problems(wrong_label, cfg, j, extra))
+               for p in question_problems(wrong_label, cfg, third, extra))
 
     short = q[:3]
     assert any("do not cover" in p
-               for p in question_problems(short, cfg, j, extra))
+               for p in question_problems(short, cfg, third, extra))
 
     repeated = q + ((1, 3, 4, 5),)
     assert any("repeated probe vertex" in p
-               for p in question_problems(repeated, cfg, j, extra))
+               for p in question_problems(repeated, cfg, third, extra))
 
     floating = q[:2] + ((4, 1, 2, 5),) + q[3:]
     assert any("leans on unplaced" in p
-               for p in question_problems(floating, cfg, j, extra))
+               for p in question_problems(floating, cfg, third, extra))
 
     bad_seeds = ((None, None, 2, 5), (None, None, 4, 5),
                  (3, 1, 2, 5), (1, 3, 4, 5))
     assert any("seed pair not adjacent" in p
-               for p in question_problems(bad_seeds, cfg, j, extra))
+               for p in question_problems(bad_seeds, cfg, third, extra))
 
 
 def test_isolated_drawing_seeds_on_its_ring_neighbor():
@@ -737,7 +758,7 @@ def test_probe_sequence_names_the_radius_defect_alike():
     # make_question finds no center before it reads the enhancement
     cfg = parse_one(CONFIG_LONG_PATH)
     with pytest.raises(InputError, match="^longpath: radius exceeds two$"):
-        make_question(cfg, cfg, None, centers(cfg))
+        make_question(cfg, cfg.third, None, centers(cfg))
 
 
 def test_load_database_builds_everything():
