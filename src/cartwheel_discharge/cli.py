@@ -2,9 +2,10 @@
 
 Exit codes: 0 verified / clean, 1 verification failure or lint
 findings or golden-table mismatch, 2 malformed input (including a file
-that cannot be read or decoded, or a trace that cannot be written), 3
+that cannot be read or decoded, or output that cannot be written), 3
 internal invariant breach or any other escaping exception (always a
-bug, never a property of the inputs).
+bug, never a property of the inputs).  Every write goes through
+`_write`; a message stderr cannot take leaves the code as it is.
 """
 
 from __future__ import annotations
@@ -60,22 +61,35 @@ def _open_trace(wanted, degree):
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as e:
-        raise _trace_error(e, path)
+        raise _cannot_write("the trace", e, path)
 
 
-def _trace_error(e, path):
-    return InputError(f"cannot write the trace: {e.strerror or e}", path=path)
+def _cannot_write(what, e, path):
+    return InputError(f"cannot write {what}: {e.strerror or e}", path=path)
+
+
+def _write(text, out=None, what="the output"):
+    """The CLI's one writer: text to out (stdout when None), flushed at
+    once.  A stream that cannot take it, such as a full device or a
+    closed pipe, is bad input naming the stream."""
+    if not text:
+        return
+    out = out or sys.stdout
+    try:
+        out.write(text)
+        out.flush()
+    except OSError as e:
+        raise _cannot_write(what, e, getattr(out, "name", "<stdout>"))
 
 
 def _emit_trace(trace, fh):
-    out = fh or sys.stdout
-    try:
-        out.write("".join(line + "\n" for line in trace))
-        out.flush()
-    except OSError as e:
-        raise _trace_error(e, getattr(out, "name", "<stdout>"))
+    _write(_lines(trace), fh, "the trace")
     if fh is not None:
-        print(f"trace written to {fh.name}")
+        _write(f"trace written to {fh.name}\n")
+
+
+def _lines(items):
+    return "".join(item + "\n" for item in items)
 
 
 def _outlets(path, degree):
@@ -90,10 +104,9 @@ def _golden_mismatch(table, path):
     with _about(path):
         golden = parse_outlet_table(_read(path))
     diffs = diff_outlet_tables(table, golden)
-    for line in diffs:
-        print(line)
     if diffs:
-        print(f"derived outlet table disagrees with {path}")
+        _write(_lines(diffs + [f"derived outlet table disagrees with "
+                               f"{path}"]))
     return bool(diffs)
 
 
@@ -125,8 +138,8 @@ def cmd_verify(args) -> int:
     if failure is not None:
         raise failure
     disp = " ".join(f"{k}={v}" for k, v in sorted(report.dispositions.items()))
-    print(f"verified: degree {degree}, {report.steps} steps, "
-          f"{report.branches} branches, dispositions {disp or 'none'}")
+    _write(f"verified: degree {degree}, {report.steps} steps, "
+           f"{report.branches} branches, dispositions {disp or 'none'}\n")
     return 0
 
 
@@ -137,12 +150,10 @@ def cmd_derive_outlets(args) -> int:
     if args.golden:
         if _golden_mismatch(table, args.golden):
             return 1
-        print(f"outlet table matches {args.golden} "
-              f"({len(table)} outlets at degree {args.degree})")
+        _write(f"outlet table matches {args.golden} "
+               f"({len(table)} outlets at degree {args.degree})\n")
         return 0
-    text = format_outlet_table(table)
-    if text:
-        print(text, end="")
+    _write(format_outlet_table(table))
     return 0
 
 
@@ -172,30 +183,18 @@ def cmd_lint(args) -> int:
 
     if args.presentation:
         lines = []
-        # an S step may cite only a branch in verify's pool: the side of
-        # a split that a disposition at the next level closed, until a
-        # disposition at or above the split's level drops it
+        # the pool verify reads: see presentation's module docstring
         appeals = {}
         with finding(args.presentation):
             degree, lines = parse_presentation(_read(args.presentation))
-            opened = []     # the C line that opened each open level
-            pooled = []     # (level, C line) of each pooled branch
-            for ln in walk_levels(lines):
-                level = ln.level
-                del opened[level:]
-                if ln.kind == "C":
-                    opened.append(ln.no)
-                    continue
-                if ln.kind == "S" and ln.payload[2:] not in pooled:
+            for ln, pool, opened in walk_levels(lines):
+                if ln.kind == "S" and ln.payload[2:] not in pool:
                     l, m = ln.payload[2:]
                     appeals[ln.no] = (
                         f"symmetry appeal cites line {m}, whose branch is "
                         f"still open" if m in opened else
                         f"symmetry appeal cites line {m} at level {l}, "
                         f"which the pool does not hold")
-                pooled = [p for p in pooled if p[0] < level]
-                if level:
-                    pooled.append((level - 1, opened[level - 1]))
         for ln in lines:
             if ln.kind == "H":
                 with finding(args.presentation, ln.no):
@@ -212,8 +211,7 @@ def cmd_lint(args) -> int:
             with finding(args.configs):
                 build_good_configuration(cfg)
 
-    for f in findings:
-        print(f)
+    _write(_lines(findings))
     return 1 if findings else 0
 
 
@@ -254,18 +252,18 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        message, code = f"error: {e}", 2
     except InternalInvariantError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
+        message, code = f"internal error: {e}", 3
     except VerificationFailure as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return 1
+        message, code = f"verification failed: {e}", 1
     except Exception as e:
-        traceback.print_exc()
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        message, code = (f"{traceback.format_exc()}internal error: "
+                         f"{type(e).__name__}: {e}"), 3
+    # a message stderr cannot take leaves the code as it is
+    with contextlib.suppress(InputError):
+        _write(message + "\n", sys.stderr)
+    return code
 
 
 def entry():

@@ -8,6 +8,16 @@ l+1; a disposition at level l returns to l-1, and at level 0 it
 closes the whole proof.  Every branch the script walks away from has
 been replaced by its negation, so a closed proof covers every axle of
 the degree.
+
+The symmetry pool.  An S step may cite the taking side of a split,
+named by the split's level l and C line m, once a disposition at
+level l + 1 has closed it, and until a later disposition at level l
+or less drops it as part of a larger closed branch.  So a branch
+still open, a split cited at another level than its own, and a line
+that opens no split are never in the pool.  walk_levels keeps this
+pool from the levels alone, for verify and lint both; verify can use
+a pooled side only where the conditions of its path alone give a
+branch without fan bounds.
 """
 
 from __future__ import annotations
@@ -30,13 +40,6 @@ class PresentationLine:
     level: int
     kind: str        # "C", "R", "H", "S"
     payload: tuple
-
-
-@dataclass
-class PoolEntry:
-    line: int
-    level: int
-    axle: object
 
 
 @dataclass
@@ -113,53 +116,47 @@ def parse_presentation(text):
 
 
 def walk_levels(lines):
-    """Yield the steps of a parsed script in order while holding them
-    to the level discipline; raises InputError at the first break.
-    Levels past a break mean nothing, so the walk stops there."""
-    level = 0
+    """Yield (step, pool, opened) for each step of a parsed script in
+    order while holding the steps to the level discipline; raises
+    InputError at the first break.  Levels past a break mean nothing,
+    so the walk stops there.  `pool` holds the (level, C line) keys an
+    S step at this step may cite, and `opened` the C line of each open
+    level.  Both are the walk's own lists: it updates them when asked
+    for the next step, so a step that fails leaves them as they are."""
+    pool = []
+    opened = []
     closed = False
     for ln in lines:
+        level = len(opened)
         if closed:
             raise InputError("step after the proof already closed", ln.no)
         if ln.level != level:
             raise InputError(
                 f"level {ln.level} where {level} is expected", ln.no)
-        yield ln
+        yield ln, pool, opened
         if ln.kind == "C":
-            level += 1
+            opened.append(ln.no)
         elif level == 0:
             closed = True
         else:
-            level -= 1
+            while pool and pool[-1][0] >= level:
+                pool.pop()
+            _pool_branch(pool, (level - 1, opened.pop()))
     if not closed:
         raise InputError("proof ends with branches still open",
                          lines[-1].no if lines else 1)
 
 
-def check_symmetry_disposition(pool, k, eps, l, m, a):
-    """The branch is covered by an image of an earlier pooled branch
+def check_symmetry_disposition(base, k, eps, a):
+    """The branch is covered by the image of the pooled branch base
     under rotation by k, reflected when eps is 1.  For pure rotations
     the containment must coincide with the interval kernel's verdict."""
-    entry = None
-    for e in pool:
-        if e.line == m and e.level == l:
-            entry = e
-            break
-    if entry is None:
-        return False
-    base = entry.axle
     perm = symmetry_permutation(k, eps, a.d)
-    contained = True
-    for i in range(2 * a.d + 1):
-        p = perm[i]
-        if base.lo[i] > a.lo[p] or a.hi[p] > base.hi[i]:
-            contained = False
-            break
-    if eps == 0:
-        fast = enforced(a, outlet_from_axle(base), k + 1)
-        if fast != contained:
-            raise InternalInvariantError(
-                "rotation containment disagrees with the interval kernel")
+    contained = all(base.lo[i] <= a.lo[p] and a.hi[p] <= base.hi[i]
+                    for i, p in enumerate(perm))
+    if eps == 0 and enforced(a, outlet_from_axle(base), k + 1) != contained:
+        raise InternalInvariantError(
+            "rotation containment disagrees with the interval kernel")
     return contained
 
 
@@ -190,10 +187,10 @@ def run_presentation(degree, lines, table, db, trace=None):
     # the conditions of its path alone (None once they clash)
     start = trivial_axle(degree)
     frames = [(start, start)]
-    # a split at level l holds the pool entry of the side that takes its
-    # condition until a disposition at level l + 1 closes that side
-    held = []
-    pool = []
+    # the path branch of each split's taking side, by (level, C line),
+    # where the path held and carries no fan bounds: the sides an S
+    # step can use once the walk pools them
+    sides = {}
     report = RunReport(degree)
     # the memos die with this run, so no verdict outlives its database
     # and no bound context its table
@@ -202,7 +199,7 @@ def run_presentation(degree, lines, table, db, trace=None):
     contexts = {}
     reducer = _make_reducer(db, placements, pieces)
 
-    for ln in walk_levels(lines):
+    for ln, pool, opened in walk_levels(lines):
         level = ln.level
         a, path = frames[level]
         report.steps += 1
@@ -220,11 +217,11 @@ def run_presentation(degree, lines, table, db, trace=None):
             lo_branch = axle_wedge_condition(a, neg)
             taken = _path_branch(path, c)
             frames[level:] = [(lo_branch, path), (hi_branch, taken)]
-            held[level:] = [PoolEntry(ln.no, level, taken)
-                            if taken is not None and is_fan_free(taken)
-                            else None]
-            report.pool_peak = max(report.pool_peak,
-                                   len(pool) + len(held) - held.count(None))
+            if taken is not None and is_fan_free(taken):
+                sides[level, ln.no] = taken
+            report.pool_peak = max(report.pool_peak, sum(
+                key in sides
+                for key in [*pool, *enumerate(opened), (level, ln.no)]))
             report.branches += 1
             if trace is not None:
                 trace.append(f"line {ln.no} level {level} C {c[0]} {c[1]} "
@@ -239,8 +236,10 @@ def run_presentation(degree, lines, table, db, trace=None):
             elif ln.kind == "H":
                 check_hubcap(a, ln.payload, table, reducer, trace, contexts)
             else:
-                ok = check_symmetry_disposition(pool, *ln.payload, a)
-                if not ok:
+                k, eps, l, m = ln.payload
+                base = sides.get((l, m)) if (l, m) in pool else None
+                if base is None or \
+                        not check_symmetry_disposition(base, k, eps, a):
                     raise VerificationFailure(
                         "symmetry appeal does not cover the branch",
                         line=ln.no)
@@ -252,12 +251,6 @@ def run_presentation(degree, lines, table, db, trace=None):
         if trace is not None:
             trace.append(f"line {ln.no} level {level} {ln.kind} "
                          f"axle={a.digest()} verdict=ok")
-        keep = len(pool)
-        while keep > 0 and pool[keep - 1].level >= level:
-            keep -= 1
-        del pool[keep:]
-        if level:
-            _pool_branch(pool, held.pop())
     return report
 
 
@@ -269,9 +262,10 @@ def _path_branch(path, c):
     return axle_wedge_condition(path, c)
 
 
-def _pool_branch(pool, entry):
-    """Pool a held entry for later symmetry appeals, now that the side
-    of the split it stands for is disposed of; a side whose path broke
-    or carries fan bounds has none."""
-    if entry is not None:
-        pool.append(entry)
+def _pool_branch(pool, key):
+    """Pool the (level, C line) key of a split's taking side, now that
+    a disposition closed it.  This is the walk's one append to its
+    pool, kept a function of its own because the benchmark's tracer
+    (perfbench/tracing.py) wraps it by name to read the pool's size as
+    `presentation.pool_peak`."""
+    pool.append(key)

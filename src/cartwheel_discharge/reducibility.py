@@ -29,8 +29,7 @@ from .rules import cartwheel_rotation
 class Skeleton:
     """The drawing of an axle's upper bounds, with the tables the
     probes read.  `have` packs the count of each label like
-    `GoodConfiguration.need`; `triangles` is read off `third` when
-    asked for."""
+    `GoodConfiguration.need`."""
 
     name = "skeleton"
 
@@ -42,13 +41,6 @@ class Skeleton:
         self.third = third
         self.by_label = by_label
         self.have = have
-
-    @property
-    def triangles(self):
-        """The closed triangles (u, v, w), each from its least vertex,
-        in order."""
-        return tuple(sorted((u, v, w) for (u, v), w in self.third.items()
-                            if u < v and u < w))
 
 
 def _spoke_piece(d, i, k):

@@ -4,6 +4,7 @@ the `python -m` forms)."""
 import contextlib
 import errno
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -296,26 +297,74 @@ def test_trace_prints_to_stdout(files, monkeypatch):
     assert out.index("hubcap triple") < out.index("verified:")
 
 
-class _FullStream(io.StringIO):
-    """A stream on a full device: every write fails."""
+class _FailingStream(io.StringIO):
+    """A stream every write to which fails with `error`."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
 
     def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise self.error
 
 
-def test_trace_to_an_unwritable_stdout_is_bad_input(files, monkeypatch):
-    # the stdout trace fails as the directory one does: exit 2, no
-    # traceback
+# ---------------------------------------------------- failing output
+
+# each command, its exit code with healthy streams, and what it writes
+# to stdout then: a verified run's verdict line, a trace, lint findings
+# or an outlet table
+_WRITERS = {
+    "verify-pass": (["verify", "-d", "7", "-r", "rules_empty",
+                     "-p", "zero", "-c", "configs_empty"], 0, "the output"),
+    "verify-fail": (["verify", "-d", "7", "-r", "rules_empty",
+                     "-p", "evicted", "-c", "configs_empty"], 1, None),
+    "verify-trace": (["verify", "-d", "7", "-r", "rules_empty",
+                      "-p", "zero", "-c", "configs_empty", "--trace"], 0,
+                     "the trace"),
+    "lint-clean": (["lint", "-r", "rules_tiny", "-p", "rules_pres",
+                    "-c", "configs_small"], 0, None),
+    "lint-findings": (["lint", "-p", "evicted"], 1, "the output"),
+    "derive": (["derive-outlets", "-d", "7", "-r", "rules_tiny"], 0,
+               "the output"),
+    "derive-golden": (["derive-outlets", "-d", "7", "-r", "rules_demo",
+                       "--golden", "outlets7"], 0, "the output"),
+}
+
+# the errors stdout and stderr raise on every write, None when healthy
+_FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+_PIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+_FAULTS = {
+    "stdout-full": (_FULL, None),
+    "stdout-pipe": (_PIPE, None),
+    "stderr-full": (None, _FULL),
+    "both-pipe": (_PIPE, _PIPE),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_output_that_cannot_be_written(files, monkeypatch, command, fault):
+    # a write that fails is bad input naming the stream: exit 2 with a
+    # one-line message and no traceback.  A run that writes nothing to
+    # the failing stream keeps its code, and so does one whose message
+    # stderr cannot take.
     monkeypatch.delenv("CARTWHEEL_TRACE_DIR", raising=False)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(_FullStream()), \
-            contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "-d", "7", "-r", files["rules_empty"],
-                         "-p", files["zero"], "-c", files["configs_empty"],
-                         "--trace"])
-    assert (code, err.getvalue()) == (
-        2, f"error: <stdout>: cannot write the trace: "
-           f"{os.strerror(errno.ENOSPC)}\n")
+    argv, healthy, what = _WRITERS[command]
+    argv = [files.get(a, a) for a in argv]
+    out_error, err_error = _FAULTS[fault]
+    out = _FailingStream(out_error) if out_error else io.StringIO()
+    err = _FailingStream(err_error) if err_error else io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if out_error is None or what is None:
+        assert code == healthy
+    else:
+        assert code == 2
+        if err_error is None:
+            assert err.getvalue() == (f"error: <stdout>: cannot write "
+                                      f"{what}: {out_error.strerror}\n")
+    if err_error is None:
+        assert "Traceback" not in err.getvalue()
 
 
 def test_trace_writes_to_the_env_directory(files, monkeypatch, tmp_path):
@@ -454,6 +503,39 @@ def test_lint_flags_an_appeal_outside_the_pool(files, tmp_path, text, line,
     assert run_cli(["lint", "-p", pres]) == (
         1, f"{pres}:{line}: symmetry appeal cites {cited}, which the pool "
            f"does not hold\n", "")
+
+
+@pytest.mark.parametrize("text", [
+    PRESENT_SYMMETRY_7, PRESENT_REFLECT_7, PRESENT_EVICTED_7,
+], ids=["symmetry", "reflect", "evicted"])
+def test_every_appeal_lint_flags_fails_verify(files, tmp_path, text):
+    # each S step rewritten to cite every level and every script line,
+    # under every rotation and reflection: wherever lint reports an
+    # appeal, verify fails at that line.  The pool holds one branch at
+    # each of these steps, so lint passes one citation per step.
+    rows = text.splitlines()
+    top = 1 + max(int(row.split()[0]) for row in rows[1:])
+    passed = set()
+    for t, row in enumerate(rows):
+        parts = row.split()
+        if t == 0 or parts[1] != "S":
+            continue
+        for cite in itertools.product(range(7), (0, 1), range(top + 1),
+                                      range(2, len(rows) + 1)):
+            parts[2:] = map(str, cite)
+            pres = write(tmp_path, "cite.pres", "\n".join(
+                rows[:t] + [" ".join(parts)] + rows[t + 1:]) + "\n")
+            code, out, _ = run_cli(["lint", "-p", pres])
+            if f"{pres}:{t + 1}: symmetry appeal" not in out:
+                passed.add((t, cite[2:]))
+                continue
+            code, out, err = run_cli([
+                "verify", "-d", "7", "-r", files["rules_empty"],
+                "-p", pres, "-c", files["configs_empty"]])
+            assert (code, out, err) == (
+                1, "", f"verification failed: line {t + 1}: symmetry "
+                       f"appeal does not cover the branch\n"), cite
+    assert len(passed) == 1
 
 
 def test_lint_flags_malformed_rules(files, tmp_path):

@@ -118,7 +118,22 @@ def test_structure_accepts_the_fixtures():
     for text in (PRESENT_ZERO_7, PRESENT_SYMMETRY_7, PRESENT_REFLECT_7,
                  PRESENT_REDUCE_7, PRESENT_EVICTED_7):
         _, lines = parse(text)
-        assert list(walk_levels(lines)) == lines
+        assert [ln for ln, _, _ in walk_levels(lines)] == lines
+
+
+def test_walk_pools_closed_sides_from_the_levels():
+    # the pool and the open C lines at each step of PRESENT_EVICTED_7:
+    # line 4 closes the side of the split on line 3, line 5 the side of
+    # the split on line 2, which drops line 3's side with it
+    _, lines = parse(PRESENT_EVICTED_7)
+    assert [(ln.no, list(pool), list(opened))
+            for ln, pool, opened in walk_levels(lines)] == [
+        (2, [], []),
+        (3, [], [2]),
+        (4, [], [2, 3]),
+        (5, [(1, 3)], [2]),
+        (6, [(0, 2)], []),
+    ]
 
 
 def level_break(text):

@@ -61,12 +61,19 @@ def fuzz_db():
 
 # -------------------------------------------------------------- skeleton
 
+def _triangles(third):
+    """The closed triangles (u, v, w) of a `third` table, each from its
+    least vertex, in order."""
+    return tuple(sorted((u, v, w) for (u, v), w in third.items()
+                        if u < v and u < w))
+
+
 def test_skeleton_of_the_trivial_cartwheel():
     skel = skeleton_of(trivial_axle(7))
     assert len(skel.gamma) == 15
     assert skel.gamma[0] == 7
     assert all(skel.gamma[p] == 12 for p in range(1, 15))
-    assert len(skel.triangles) == 14
+    assert len(_triangles(skel.third)) == 14
 
 
 def test_skeleton_low_pin_closes_the_wheel():
@@ -108,7 +115,7 @@ def test_skeleton_drawings_keep_their_digest():
             skel = skeleton_of(random_axle(d, s))
             for table in (skel.rot, skel.cyclic, skel.gamma, skel.third):
                 h.update(repr(sorted(table.items())).encode())
-            h.update(repr(skel.triangles).encode())
+            h.update(repr(_triangles(skel.third)).encode())
     assert h.hexdigest() == (
         "128571de3150712f526a91c73ef8aae735d8327a1c7e0308220d7ce08cbd4312")
 
@@ -154,7 +161,7 @@ def test_skeletons_match_validation_on_every_pin_pattern():
                             skel.cyclic).validate()
         assert skel.adj == ref.adj, (d, pins)
         assert skel.third == ref.third, (d, pins)
-        assert skel.triangles == ref.triangles, (d, pins)
+        assert _triangles(skel.third) == ref.triangles, (d, pins)
         count += 1
     assert count == 5 ** 5 + 5 ** 6 + 5 * 5 ** 4
 
@@ -203,7 +210,7 @@ def test_skeleton_and_placement_read_only_the_upper_bounds():
             assert validate_axle(b) == []
             raised += b.lo != a.lo
             ka, kb = skeleton_of(a), skeleton_of(b)
-            for table in ("rot", "cyclic", "gamma", "third", "triangles"):
+            for table in ("rot", "cyclic", "gamma", "third"):
                 assert getattr(ka, table) == getattr(kb, table)
             found = semi_reducible(a, db)
             assert semi_reducible(b, db) == found

@@ -2,11 +2,13 @@
 every top-level definition of the package is used somewhere and every
 one of the engine is used by the engine, a name that two modules share
 is public, one reader turns input text into lines and integers, the
-package keeps no process-global cache, and only the CLI names the file
-an error is about."""
+package keeps no process-global cache, only the CLI names the file an
+error is about, and every engine function the benchmark's tracer wraps
+by name exists."""
 
 import ast
 import glob
+import importlib
 import os
 import re
 import shutil
@@ -300,3 +302,23 @@ def test_only_the_cli_names_files():
                          node.value.id == "self"):
                 found.append(f"{where}:{node.lineno} sets .path")
     assert found == []
+
+
+def test_the_tracer_finds_every_probe():
+    """perfbench/tracing.py wraps engine functions by module and name
+    (`PROBES`), and a probe whose target is gone reads 0 without
+    failing the benchmark.  So a rename that would blind a metric fails
+    here.  The table is read by AST: the tracer is neither imported nor
+    changed."""
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    probes = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and
+              [t.id for t in node.targets] == ["PROBES"]]
+    assert len(probes) == 1 and probes[0]
+    missing = [f"{name}: {module}.{attr}"
+               for name, module, attr, _ in probes[0]
+               if not callable(getattr(importlib.import_module(
+                   f"cartwheel_discharge.{module}"), attr, None))]
+    assert missing == []
