@@ -20,9 +20,11 @@ Its wedge intersects the entries into A: A & W.
 The bound search settles every outlet of a context at once through
 `LaneTables`, the same masks transposed by lane: one table lookup per
 entry lane gives the bitsets of the outlets an axle leaves unenforced
-and those it does not permit.  The per-outlet kernels stay for the
-wedge, the bound search's prune test and the public rules.enforced /
-permitted / axle_wedge_outlet.
+and those it does not permit.  A settle reads an axle only on the entry
+lanes, so the tables remember each result by those lanes' bytes, and
+the search settles each lane pattern once per context.  The per-outlet
+kernels stay for the wedge and the public rules.enforced / permitted /
+axle_wedge_outlet.
 """
 
 from __future__ import annotations
@@ -71,13 +73,21 @@ class LaneTables:
     holds the outlets with an entry at l that b does not lie inside
     (b & ~m != 0: not enforced), and above them, shifted by the number
     of outlets, those whose entry b misses (b & m == 0: not permitted).
-    A slot is filled on its first use."""
+    A slot is filled on its first use.
+
+    `settle` reads an axle only at its entry lanes, which `mask`
+    covers, so two axles equal under `mask` settle alike: each result
+    is kept by `packed & mask` for the life of the tables, and the
+    slots serve only the patterns not seen yet."""
 
     def __init__(self, masks, d):
         self.n = len(masks)
         self.width = 5 * d
+        self.mask = 0
+        self._memo = {}
         lanes = {}
         for i, (outside, _, inside, k, _) in enumerate(masks):
+            self.mask |= k
             while k:
                 lane = ((k & -k).bit_length() - 1) >> 3
                 at = 8 * lane
@@ -88,8 +98,13 @@ class LaneTables:
                             for lane, entries in sorted(lanes.items()))
 
     def settle(self, packed):
-        """(not enforced, not permitted): the bitsets of the outlets the
-        packed axle leaves unenforced and those it does not permit."""
+        """The outlets the packed axle leaves unenforced, and above them,
+        shifted by n, those it does not permit: one int, as a slot
+        holds it."""
+        key = packed & self.mask
+        sets = self._memo.get(key)
+        if sets is not None:
+            return sets
         n = self.n
         raw = packed.to_bytes(self.width, "little")
         sets = 0
@@ -105,4 +120,5 @@ class LaneTables:
                         miss |= bit
                 got = slots[b] = out | miss << n
             sets |= got
-        return sets & ((1 << n) - 1), sets >> n
+        self._memo[key] = sets
+        return sets

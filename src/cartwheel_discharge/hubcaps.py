@@ -6,11 +6,16 @@ upper bound v on the total charge the rules can move between the hub
 and that pair.  Certifying each bound is the job of check_bound; the
 final inequality 10(6-d) + floor(sum(v)/2) <= 0 closes the case.
 
-The search keeps its sign vector as two int bitsets over the context's
-positioned outlets, the enforced and the not permitted ones (outlet i
-at bit i), and settles a node's undecided outlets in one pass over the
-context's lane tables (see _kernels).  A run builds each spoke pair's
-context once and shares it between its H steps.
+The search walks packed axles (see axles.py) and keeps its sign vector
+as two int bitsets over the context's positioned outlets, the enforced
+and the not permitted ones (outlet i at bit i).  It settles a node's
+undecided outlets in one lookup in the context's lane tables (see
+_kernels), which remember each settle for the life of the context.
+Each wedge candidate is settled before it is searched: the candidate
+is pruned when its wedge enforces an outlet excluded earlier, and
+otherwise its node starts from that settle.  An Axle object is built
+only for the reducer, a failure message or a trace line.  A run builds
+each spoke pair's context once and shares it between its H steps.
 """
 
 from __future__ import annotations
@@ -116,31 +121,29 @@ def check_bound(ctx: BoundContext, p: int, s: list, v: int, a: Axle,
     0 undecided; entries before p are settled.  It is read, not
     written.
     """
-    pos = sum(1 << i for i, t in enumerate(s) if t == 1)
-    neg = sum(1 << i for i, t in enumerate(s) if t == -1)
-    _search(ctx, *ctx.compiled(a.d), p, pos, neg, v, a, trail)
+    pos = neg = 0
+    if any(s):
+        pos = sum(1 << i for i, t in enumerate(s) if t == 1)
+        neg = sum(1 << i for i, t in enumerate(s) if t == -1)
+    _search(ctx, *ctx.compiled(a.d), a.d, p, pos, neg, v, a.packed, None,
+            trail)
 
 
-def _bits(x):
-    """The set bits of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def _search(ctx, masks, lanes, p, pos, neg, v, a, trail):
-    # pos / neg: bitsets of the enforced / not permitted outlets
+def _search(ctx, masks, lanes, d, p, pos, neg, v, packed, got, trail):
+    # pos / neg: bitsets of the enforced / not permitted outlets; got:
+    # the lane tables' settle of packed, or None when not taken yet
     n = len(masks)
-    packed = a.packed
     # settle every undecided outlet, not just those from p on: a wedge
     # for a later outlet can force an earlier negative one
     undecided = ((1 << n) - 1) & ~(pos | neg)
     if undecided:
-        out, miss = lanes.settle(packed)
-        pos |= undecided & ~out
-        neg |= undecided & out & miss
-        undecided &= out & ~miss
+        if got is None:
+            got = lanes.settle(packed)
+        # undecided lies below bit n, where got holds the unenforced
+        miss = got >> n
+        pos |= undecided & ~got
+        neg |= undecided & got & miss
+        undecided &= got & ~miss
     f = acc = 0
     for value, bits in ctx.groups:
         f += value * (pos & bits).bit_count()
@@ -150,10 +153,11 @@ def _search(ctx, masks, lanes, p, pos, neg, v, a, trail):
         signs = "".join("2" if pos >> i & 1 else "0" if neg >> i & 1
                         else "1" for i in range(n))
         ctx.trace.append(f"bound p={p} s={signs} f={f} a={acc} v={v} "
-                         f"axle={a.digest()}")
+                         f"axle={Axle.from_packed(d, packed).digest()}")
     if acc + f <= v:
         return
     if f > v:
+        a = Axle.from_packed(d, packed)
         if ctx.reducer(a):
             if ctx.trace is not None:
                 ctx.trace.append(f"bound overflow f={f}>{v}: reducible "
@@ -162,23 +166,26 @@ def _search(ctx, masks, lanes, p, pos, neg, v, a, trail):
         raise VerificationFailure(
             f"forced value {f} exceeds bound {v} and the axle is not "
             f"reducible (branch {list(trail)}, axle {a!r})")
-    enforced = _kernels.outlet_enforced
+    wedge = _kernels.outlet_wedge
     excluded = neg & ((1 << p) - 1)
-    for q in _bits(undecided & ctx.positive & ~((1 << p) - 1)):
-        wedged = _kernels.outlet_wedge(packed, masks[q])
+    cands = undecided & ctx.positive & ~((1 << p) - 1)
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        q = low.bit_length() - 1
+        wedged = wedge(packed, masks[q])
         if wedged is None:
             raise InternalInvariantError(
                 "undecided outlet failed to wedge despite being permitted")
+        got = lanes.settle(wedged)
         # prune when the wedge enforces an outlet excluded before p
-        for i in _bits(excluded):
-            if enforced(wedged, masks[i]):
-                if ctx.trace is not None:
-                    ctx.trace.append(f"bound prune q={q}")
-                break
+        if excluded & ~got:
+            if ctx.trace is not None:
+                ctx.trace.append(f"bound prune q={q}")
         else:
-            _search(ctx, masks, lanes, q, pos | 1 << q, neg, v,
-                    Axle.from_packed(a.d, wedged), trail + (q,))
-        neg |= 1 << q
+            _search(ctx, masks, lanes, d, q, pos | low, neg, v, wedged, got,
+                    trail + (q,))
+        neg |= low
         acc -= ctx.values[q]
         if acc + f <= v:
             return

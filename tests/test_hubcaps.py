@@ -184,12 +184,14 @@ def test_trace_lines_carry_sign_vector_and_digest():
                for line in trace if line.startswith("bound p="))
 
 
-def test_bound_traces_keep_their_digest():
+def _bound_trace_digest(shared):
     # brute_force_bound stops at 16 outlets; pooled tables place 28-54.
     # So searches over 20-54 placements are pinned by a digest of every
     # trace line and outcome instead, with the reducer stubs of the
     # exhaustive-oracle test and v swept from below the forced value to
-    # the sum of every permitted positive outlet.
+    # the sum of every permitted positive outlet.  With `shared`, one
+    # context serves all of an instance's v, as a run's H steps share
+    # one per spoke pair.
     stubs = (
         lambda b: False,
         lambda b: True,
@@ -210,9 +212,12 @@ def test_bound_traces_keep_their_digest():
             f = sum(o.value for o, x in positioned if enforced(a, o, x))
             top = f + sum(o.value for o, x in positioned if o.value > 0
                           and not enforced(a, o, x) and permitted(a, o, x))
+            ctx = BoundContext(positioned, stubs[inst % 4])
             for v in sorted({f - 1, f, (f + top) // 2, top - 1, top}):
                 trace = []
-                ctx = BoundContext(positioned, stubs[inst % 4], trace)
+                if not shared:
+                    ctx = BoundContext(positioned, stubs[inst % 4])
+                ctx.trace = trace
                 try:
                     check_bound(ctx, 0, [0] * len(positioned), v, a)
                     outcome = "ok"
@@ -225,8 +230,19 @@ def test_bound_traces_keep_their_digest():
                         seen[kind] += line.startswith(kind)
                 h.update(outcome.encode() + b"\n")
     assert min(seen.values()) > 100
-    assert h.hexdigest() == (
-        "c732b979816f12c4442ccb8a8c4a52d9b739f3b13babb3c8fd4c6902804ccf41")
+    return h.hexdigest()
+
+
+BOUND_TRACE_DIGEST = (
+    "c732b979816f12c4442ccb8a8c4a52d9b739f3b13babb3c8fd4c6902804ccf41")
+
+
+def test_bound_traces_keep_their_digest():
+    assert _bound_trace_digest(shared=False) == BOUND_TRACE_DIGEST
+
+
+def test_bound_traces_keep_their_digest_on_a_shared_context():
+    assert _bound_trace_digest(shared=True) == BOUND_TRACE_DIGEST
 
 
 # ------------------------------------------------------- context layout
